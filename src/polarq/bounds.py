@@ -32,11 +32,10 @@ from .channels import (
     BEC,
     BSC,
     TripleDensity,
-    _error_rate_arrays,
     _mutual_info_arrays,
     binary_entropy,
 )
-from .density_evolution import _minus_arrays, _plus_arrays
+from .density_evolution import _double_level
 
 ENUMERATION_CEILING = 22
 
@@ -45,7 +44,7 @@ CURVE_FAMILIES = ("bec", "bsc", "bawgn", "universal")
 
 def lower_functional(d: TripleDensity) -> float:
     """The submartingale functional F(D) = p - 4 sqrt(pm)."""
-    return d.p - 4.0 * math.sqrt(d.p * d.m)
+    return float(_lower_functional_arrays(d.p, d.e, d.m))
 
 
 def _lower_functional_arrays(p, e, m):
@@ -118,38 +117,6 @@ def _level_means(p0, e0, m0, n_max: int) -> Iterator[tuple[np.ndarray, np.ndarra
                _mutual_info_arrays(p, e, m).mean(axis=1))
 
 
-def _double_level(p, e, m):
-    """One polarization level: children of every state, minus block first.
-
-    The shared monomials are computed once and written straight into the
-    doubled arrays; child order within a level is irrelevant to the means.
-    """
-    batch, width = p.shape
-    p2 = p * p
-    m2 = m * m
-    pm2 = p * m
-    pm2 *= 2.0
-    new_p = np.empty((batch, 2 * width))
-    new_e = np.empty((batch, 2 * width))
-    new_m = np.empty((batch, 2 * width))
-    # check (minus) children
-    np.add(p2, m2, out=new_p[:, :width])
-    new_m[:, :width] = pm2
-    np.subtract(1.0, new_p[:, :width], out=new_e[:, :width])
-    new_e[:, :width] -= pm2
-    # variable (plus) children
-    pe2 = p * e
-    pe2 *= 2.0
-    np.add(p2, pe2, out=new_p[:, width:])
-    em2 = e * m
-    em2 *= 2.0
-    np.add(m2, em2, out=new_m[:, width:])
-    np.subtract(1.0, new_p[:, width:], out=new_e[:, width:])
-    new_e[:, width:] -= new_m[:, width:]
-    np.maximum(new_e, 0.0, out=new_e)
-    return new_p, new_e, new_m
-
-
 def bounds_series(d0: TripleDensity, n_max: int, *,
                   ceiling: int = ENUMERATION_CEILING) -> BoundsSeries:
     """Exact L_0..L_n_max and U_0..U_n_max for the starting triple ``d0``."""
@@ -201,16 +168,12 @@ def bounds_series_mc(d0: TripleDensity, n: int, samples: int, seed: int) -> McBo
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     rng = np.random.default_rng(seed)
-    p = np.full(samples, d0.p)
-    e = np.full(samples, d0.e)
-    m = np.full(samples, d0.m)
+    p, e, m = (np.full(samples, x) for x in (d0.p, d0.e, d0.m))
+    column = np.arange(samples)
     for _ in range(n):
-        take_plus = rng.integers(0, 2, size=samples).astype(bool)
-        pm, em, mm = _minus_arrays(p, e, m)
-        pp, ep, mp = _plus_arrays(p, e, m)
-        p = np.where(take_plus, pp, pm)
-        e = np.where(take_plus, ep, em)
-        m = np.where(take_plus, mp, mm)
+        # child b of sample s sits at b * samples + s
+        pick = rng.integers(0, 2, size=samples) * samples + column
+        p, e, m = (x[pick] for x in _double_level(p, e, m))
     f = _lower_functional_arrays(p, e, m)
     i = _mutual_info_arrays(p, e, m)
     z95 = 1.959963984540054

@@ -73,20 +73,15 @@ def triple_stats(d: TripleDensity) -> tuple[float, float, float]:
 
         I = (m + p) (1 - h2(p / (p + m)))       (0 when p + m = 0)
         Z = 2 sqrt(m p) + e
-        E = 1 - p - e/2
+        E = m + e/2
     """
     p, e, m = d.p, d.e, d.m
-    s = p + m
-    if s > 0.0:
-        mi = s * (1.0 - binary_entropy(p / s))
-    else:
-        mi = 0.0
-    z = 2.0 * math.sqrt(m * p) + e
-    err = 1.0 - p - 0.5 * e
-    return mi, z, err
+    return (float(_mutual_info_arrays(p, e, m)), float(_bhattacharyya_arrays(p, e, m)),
+            float(_error_rate_arrays(p, e, m)))
 
 
-# Vectorized versions of the three functionals, shared with the bounds module.
+# The functionals on arrays of triples; the scalar forms above and in the
+# bounds and density evolution modules evaluate these.
 
 def _mutual_info_arrays(p, e, m):
     # s(1 - h2(p/s)) written as s + p log2 p + m log2 m - s log2 s with
@@ -100,7 +95,8 @@ def _bhattacharyya_arrays(p, e, m):
 
 
 def _error_rate_arrays(p, e, m):
-    return 1.0 - p - 0.5 * e
+    # m + e/2 rather than 1 - p - e/2, which cancels at tiny error rates
+    return m + 0.5 * e
 
 
 class LlrDensity:

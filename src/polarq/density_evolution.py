@@ -4,6 +4,15 @@ For the three-level decoder the message law is a triple (p, e, m) and both
 tree transforms have closed forms; for a general uniform quantizer the law
 is a finite mass function over the quantizer alphabet and the transforms are
 exact push-forwards computed by enumerating all |Q|^2 input pairs.
+
+The closed forms are written once, in ``_double_level``, which maps every
+state on the last array axis to its two children, the check (minus) block
+first and the variable (plus) block second.  ``triple_plus``,
+``triple_minus``, ``synthesize_triples`` and the bounds module all call it.
+After n levels a position holds its path bits newest first, so
+``synthesize_triples`` ends with one bit-reversal gather into index order.
+The finite-alphabet pair transforms are likewise written once, row-wise, in
+``_de_var_vec`` and ``_de_check_vec``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LlrDensity, TripleDensity
+from .channels import LlrDensity, TripleDensity, _error_rate_arrays
 from .codec import check_llrs
 from .quantizer import QuantizerSpec, levels, quantize_index
 
@@ -25,23 +34,49 @@ class ResourceCeilingError(RuntimeError):
 # ---------------------------------------------------------------------------
 # three-level transforms
 
-def _plus_arrays(p, e, m):
-    """Variable-node transform of i.i.d. triples, vectorized."""
-    pp = p * p + 2.0 * p * e
-    mp = m * m + 2.0 * e * m
-    # erasure mass by complement: equals e**2 + 2pm exactly and keeps
-    # p + e + m pinned at 1 through deep recursions
-    ep = np.maximum(1.0 - pp - mp, 0.0)
-    return pp, ep, mp
+def _double_level(p, e, m):
+    """One polarization level: both children of every state on the last axis.
+
+    The last axis doubles.  Check (minus) children fill its first half and
+    variable (plus) children its second half, each in the parents' order:
+
+        minus: (p^2 + m^2, 1 - (1-e)^2, 2pm)
+        plus:  (p^2 + 2pe, e^2 + 2pm, m^2 + 2em)
+
+    Each erasure mass is written as the complement 1 - p' - m', which keeps
+    p + e + m pinned at 1 through deep recursions.  The doubled products
+    are formed as (2p)e, (2p)m and (2e)m.
+    """
+    width = p.shape[-1]
+    shape = p.shape[:-1] + (2 * width,)
+    minus, plus = np.s_[..., :width], np.s_[..., width:]
+    p2 = p * p
+    m2 = m * m
+    new_p = np.empty(shape)
+    new_e = np.empty(shape)
+    new_m = np.empty(shape)
+    # check (minus) children
+    twice_p = 2.0 * p
+    np.add(p2, m2, out=new_p[minus])
+    np.multiply(twice_p, m, out=new_m[minus])
+    np.subtract(1.0, new_p[minus], out=new_e[minus])
+    new_e[minus] -= new_m[minus]
+    # variable (plus) children
+    twice_p *= e
+    np.add(p2, twice_p, out=new_p[plus])
+    em2 = 2.0 * e
+    em2 *= m
+    np.add(m2, em2, out=new_m[plus])
+    np.subtract(1.0, new_p[plus], out=new_e[plus])
+    new_e[plus] -= new_m[plus]
+    np.maximum(new_e, 0.0, out=new_e)
+    return new_p, new_e, new_m
 
 
-def _minus_arrays(p, e, m):
-    """Check-node transform of i.i.d. triples, vectorized."""
-    pm = p * p + m * m
-    mm = 2.0 * p * m
-    # complement of 1 - (1-e)**2, see _plus_arrays
-    em = np.maximum(1.0 - pm - mm, 0.0)
-    return pm, em, mm
+def _child(d: TripleDensity, b: int) -> TripleDensity:
+    """Child ``b`` of ``d``: 0 for the check transform, 1 for the variable one."""
+    p, e, m = _double_level(np.array([d.p]), np.array([d.e]), np.array([d.m]))
+    return TripleDensity(float(p[b]), float(e[b]), float(m[b]))
 
 
 def triple_plus(d: TripleDensity) -> TripleDensity:
@@ -49,8 +84,7 @@ def triple_plus(d: TripleDensity) -> TripleDensity:
 
     (p, e, m) -> (p^2 + 2pe, e^2 + 2pm, m^2 + 2em)
     """
-    p, e, m = _plus_arrays(d.p, d.e, d.m)
-    return TripleDensity(float(p), float(e), float(m))
+    return _child(d, 1)
 
 
 def triple_minus(d: TripleDensity) -> TripleDensity:
@@ -58,8 +92,7 @@ def triple_minus(d: TripleDensity) -> TripleDensity:
 
     (p, e, m) -> (p^2 + m^2, 1 - (1-e)^2, 2pm)
     """
-    p, e, m = _minus_arrays(d.p, d.e, d.m)
-    return TripleDensity(float(p), float(e), float(m))
+    return _child(d, 0)
 
 
 def evolve_triple(d0: TripleDensity, path) -> TripleDensity:
@@ -70,7 +103,7 @@ def evolve_triple(d0: TripleDensity, path) -> TripleDensity:
     """
     d = d0
     for b in path:
-        d = triple_plus(d) if b else triple_minus(d)
+        d = _child(d, 1 if b else 0)
     return d
 
 
@@ -102,47 +135,41 @@ def _check_index_table(spec: QuantizerSpec) -> np.ndarray:
 
 
 def de_var(d1: LlrDensity, d2: LlrDensity, spec: QuantizerSpec) -> LlrDensity:
-    """Law of Q(X + Y) for independent X ~ d1, Y ~ d2 on the alphabet of ``spec``.
-
-    Sums of alphabet levels are again multiples of delta, so this is a
-    discrete convolution whose tails fold onto the saturation levels.
-    """
-    v1 = _density_vector(d1, spec)
-    v2 = _density_vector(d2, spec)
-    conv = np.convolve(v1, v2)  # index k holds mass of sum (k - 2K) * delta
-    k = spec.half_levels
-    out = conv[k:3 * k + 1].copy()
-    out[0] += conv[:k].sum()
-    out[-1] += conv[3 * k + 1:].sum()
-    return LlrDensity(levels(spec), out)
+    """Law of Q(X + Y) for independent X ~ d1, Y ~ d2 on the alphabet of ``spec``."""
+    rows = _de_var_vec(_density_vector(d1, spec)[None, :],
+                       _density_vector(d2, spec)[None, :], spec)
+    return LlrDensity(levels(spec), rows[0])
 
 
 def de_check(d1: LlrDensity, d2: LlrDensity, spec: QuantizerSpec) -> LlrDensity:
     """Law of Q(2 atanh(tanh(X/2) tanh(Y/2))) by full pair enumeration."""
-    v1 = _density_vector(d1, spec)
-    v2 = _density_vector(d2, spec)
-    table = _check_index_table(spec)
-    mass = np.bincount(table.ravel(), weights=np.outer(v1, v2).ravel(),
-                       minlength=spec.n_levels)
-    return LlrDensity(levels(spec), mass)
+    rows = _de_check_vec(_density_vector(d1, spec)[None, :],
+                         _density_vector(d2, spec)[None, :], spec)
+    return LlrDensity(levels(spec), rows[0])
 
 
-def _de_var_vec(rows: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+def _de_var_vec(rows: np.ndarray, others: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+    """Variable-node law of each row of ``rows`` with the same row of ``others``.
+
+    Sums of alphabet levels are again multiples of delta, so each row is a
+    discrete convolution whose tails fold onto the saturation levels.
+    """
     k = spec.half_levels
     out = np.empty_like(rows)
     for i in range(rows.shape[0]):
-        conv = np.convolve(rows[i], rows[i])
+        conv = np.convolve(rows[i], others[i])  # index j: sum (j - 2k) * delta
         out[i] = conv[k:3 * k + 1]
         out[i, 0] += conv[:k].sum()
         out[i, -1] += conv[3 * k + 1:].sum()
     return out
 
 
-def _de_check_vec(rows: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+def _de_check_vec(rows: np.ndarray, others: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+    """Check-node law of each row of ``rows`` with the same row of ``others``."""
     table = _check_index_table(spec).ravel()
     out = np.empty_like(rows)
     for i in range(rows.shape[0]):
-        outer = np.outer(rows[i], rows[i]).ravel()
+        outer = np.outer(rows[i], others[i]).ravel()
         out[i] = np.bincount(table, weights=outer, minlength=spec.n_levels)
     return out
 
@@ -176,7 +203,7 @@ class SynthesizedFamily:
     def error_probs(self) -> np.ndarray:
         """Pr(root < 0) + Pr(root = 0)/2 for every index."""
         if self.kind == "triple":
-            return self.data[:, 2] + 0.5 * self.data[:, 1]
+            return _error_rate_arrays(*self.data.T)
         neg = self.alphabet < 0.0
         zero = self.alphabet == 0.0
         return self.data[:, neg].sum(axis=1) + 0.5 * self.data[:, zero].sum(axis=1)
@@ -199,23 +226,13 @@ def synthesize_triples(d0: TripleDensity, n: int) -> SynthesizedFamily:
     """Evolve the three-level law to all N tree channels by level doubling."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = np.array([d0.p])
-    e = np.array([d0.e])
-    m = np.array([d0.m])
+    p, e, m = (np.array([x]) for x in (d0.p, d0.e, d0.m))
     for _ in range(n):
-        pm, em, mm = _minus_arrays(p, e, m)
-        pp, ep, mp = _plus_arrays(p, e, m)
-        p = _interleave(pm, pp)
-        e = _interleave(em, ep)
-        m = _interleave(mm, mp)
-    return SynthesizedFamily(n=n, kind="triple", data=np.stack([p, e, m], axis=1))
-
-
-def _interleave(minus_part, plus_part):
-    out = np.empty(2 * minus_part.size)
-    out[0::2] = minus_part  # appended path bit 0: check level
-    out[1::2] = plus_part
-    return out
+        p, e, m = _double_level(p, e, m)
+    # a kernel position holds the path bits newest first, an index oldest
+    # first: index i sits at the position of bit-reversed i
+    reverse = np.arange(1 << n).reshape((2,) * n).transpose().ravel()
+    return SynthesizedFamily(n=n, kind="triple", data=np.stack([p, e, m], axis=1)[reverse])
 
 
 def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
@@ -235,8 +252,8 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
             "use a coarser quantizer, a smaller n, or raise op_budget")
     rows = _density_vector(d0, spec)[None, :]
     for _ in range(n):
-        checks = _de_check_vec(rows, spec)
-        vars_ = _de_var_vec(rows, spec)
+        checks = _de_check_vec(rows, rows, spec)
+        vars_ = _de_var_vec(rows, rows, spec)
         nxt = np.empty((2 * rows.shape[0], rows.shape[1]))
         nxt[0::2] = checks
         nxt[1::2] = vars_
@@ -247,7 +264,7 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
 def bit_error_prob(density) -> float:
     """Pr(message < 0) + Pr(message = 0)/2 for a root-message law."""
     if isinstance(density, TripleDensity):
-        return density.m + 0.5 * density.e
+        return float(_error_rate_arrays(density.p, density.e, density.m))
     return density.error_prob()
 
 

@@ -17,8 +17,7 @@ from polarq.bounds import bounds_series, curve
 from polarq.channels import BEC, BSC, TripleDensity
 from polarq.codec import PolarCode, _sc_batch
 from polarq.density_evolution import (
-    _minus_arrays,
-    _plus_arrays,
+    _double_level,
     gallager_trajectory,
     rate_for_union_bound,
     synthesize,
@@ -90,8 +89,9 @@ def test_criterion_3_martingale_step_suite():
         _mutual_info_arrays,
     )
 
-    pp, ep, mp = _plus_arrays(p, e, m)
-    pm, em, mm = _minus_arrays(p, e, m)
+    children = _double_level(p, e, m)  # minus block, then plus block
+    pm, em, mm = (x[:p.size] for x in children)
+    pp, ep, mp = (x[p.size:] for x in children)
     checks = {
         "mass conservation": max(np.abs(pp + ep + mp - 1).max(),
                                  np.abs(pm + em + mm - 1).max()),

@@ -176,11 +176,12 @@ class TestStepProperties:
         x /= x.sum(axis=1, keepdims=True)
         from polarq.bounds import _lower_functional_arrays
         from polarq.channels import _bhattacharyya_arrays, _mutual_info_arrays
-        from polarq.density_evolution import _minus_arrays, _plus_arrays
+        from polarq.density_evolution import _double_level
 
         p, e, m = x.T
-        pp, ep, mp = _plus_arrays(p, e, m)
-        pm, em, mm = _minus_arrays(p, e, m)
+        children = _double_level(p, e, m)  # minus block, then plus block
+        pm, em, mm = (c[:p.size] for c in children)
+        pp, ep, mp = (c[p.size:] for c in children)
         mi = _mutual_info_arrays(p, e, m)
         assert np.max((_mutual_info_arrays(pp, ep, mp)
                        + _mutual_info_arrays(pm, em, mm)) / 2 - mi) < 1e-12
@@ -197,10 +198,11 @@ class TestStepProperties:
         p, e = p[keep], e[keep]
         m = np.maximum(1.0 - p - e, 0.0)
         from polarq.channels import _bhattacharyya_arrays
-        from polarq.density_evolution import _minus_arrays, _plus_arrays
+        from polarq.density_evolution import _double_level
         z = _bhattacharyya_arrays(p, e, m)
-        pp, ep, mp = _plus_arrays(p, e, m)
-        pm, em, mm = _minus_arrays(p, e, m)
+        children = _double_level(p, e, m)  # minus block, then plus block
+        pm, em, mm = (c[:p.size] for c in children)
+        pp, ep, mp = (c[p.size:] for c in children)
         assert np.max(_bhattacharyya_arrays(pm, em, mm) - 2 * z) < 1e-12
         assert np.max(_bhattacharyya_arrays(pp, ep, mp) - 2 * z**1.5) < 1e-12
 

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from polarq.channels import BEC, BSC, LlrDensity, TripleDensity
+from polarq.channels import BEC, BSC, LlrDensity, TripleDensity, _error_rate_arrays
 from polarq.codec import check_llrs, index_to_path
 from polarq.density_evolution import (
     ResourceCeilingError,
     SynthesizedFamily,
+    _double_level,
     bit_error_prob,
     choose_info_set,
     de_check,
@@ -57,11 +60,11 @@ class TestTripleTransforms:
         rng = np.random.default_rng(0)
         x = rng.random((100000, 3))
         x /= x.sum(axis=1, keepdims=True)
-        from polarq.density_evolution import _minus_arrays, _plus_arrays
-        for transform in (_plus_arrays, _minus_arrays):
-            p, e, m = transform(x[:, 0], x[:, 1], x[:, 2])
-            assert np.abs(p + e + m - 1.0).max() < 1e-12
-            assert min(p.min(), e.min(), m.min()) >= 0.0
+        from polarq.density_evolution import _double_level
+        # one call yields both children: the minus block, then the plus block
+        p, e, m = _double_level(x[:, 0], x[:, 1], x[:, 2])
+        assert np.abs(p + e + m - 1.0).max() < 1e-12
+        assert min(p.min(), e.min(), m.min()) >= 0.0
 
     def test_error_rate_pair_average_identity(self):
         # (E+ + E-)/2 equals E + m(p - m)/2: the error functional is not
@@ -74,6 +77,64 @@ class TestTripleTransforms:
             err = bit_error_prob(d)
             pair = 0.5 * (bit_error_prob(triple_plus(d)) + bit_error_prob(triple_minus(d)))
             assert pair == pytest.approx(err + m * (p - m) / 2, abs=1e-12)
+
+
+def _normalized(raw):
+    x = np.array(raw)
+    return x / x.sum(axis=1, keepdims=True)
+
+
+# batches of random triples (p, e, m), each with positive total mass
+triples = st.lists(
+    st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda t: sum(t) > 0.0),
+    min_size=1, max_size=16).map(_normalized)
+# the same with p >= m in every row: the sign masses of a row are swapped
+# where m > p
+ordered_triples = triples.map(
+    lambda x: np.where((x[:, 0] < x[:, 2])[:, None], x[:, ::-1], x))
+
+
+def _children(x):
+    """(minus, plus) children of the rows of ``x``, each as (p, e, m)."""
+    kids = _double_level(x[:, 0], x[:, 1], x[:, 2])
+    size = x.shape[0]
+    return tuple(c[:size] for c in kids), tuple(c[size:] for c in kids)
+
+
+class TestDoubleLevelProperties:
+    @given(triples)
+    def test_closed_forms(self, x):
+        p, e, m = x.T
+        minus, plus = _children(x)
+        want_minus = (p * p + m * m, 1 - (1 - e) ** 2, 2 * p * m)
+        want_plus = (p * p + 2 * p * e, e * e + 2 * p * m, m * m + 2 * e * m)
+        for got, want in zip(minus + plus, want_minus + want_plus):
+            assert np.abs(got - want).max() < 1e-12
+
+    @given(triples)
+    def test_masses_nonnegative_and_conserved(self, x):
+        for p, e, m in _children(x):
+            assert min(p.min(), e.min(), m.min()) >= 0.0
+            assert np.abs(p + e + m - 1.0).max() < 1e-12
+
+    @given(ordered_triples)
+    def test_sign_order_preserved(self, x):
+        # p+ - m+ = (p - m)(p + m + 2e) and p- - m- = (p - m)^2
+        p, e, m = x.T
+        (pm, _, mm), (pp, _, mp) = _children(x)
+        assert np.all(pm - mm >= -1e-15) and np.all(pp - mp >= -1e-15)
+        assert np.abs((pm - mm) - (p - m) ** 2).max() < 1e-12
+        assert np.abs((pp - mp) - (p - m) * (p + m + 2 * e)).max() < 1e-12
+
+    @given(ordered_triples, st.floats(0.0, 1.0))
+    def test_degradation_preserved(self, x, t):
+        # erasing a fraction t of both signed masses degrades a state with
+        # p >= m, and never lowers either child's error rate m + e/2
+        p, e, m = x.T
+        worse = np.stack([(1 - t) * p, e + t * (p + m), (1 - t) * m], axis=1)
+        for kid, worse_kid in zip(_children(x), _children(worse)):
+            assert np.all(_error_rate_arrays(*worse_kid) - _error_rate_arrays(*kid)
+                          >= -1e-12)
 
 
 class TestEvolve:
@@ -168,6 +229,13 @@ class TestSynthesize:
             for i in (0, 1, (1 << n) - 1, (1 << n) // 3):
                 want = evolve_triple(d0, index_to_path(i, n))
                 assert approx_triple(fam.density(i), (want.p, want.e, want.m), tol=1e-13)
+        # every index, exactly: pins the gather from the kernel's
+        # minus-block-first layout into index order
+        d0 = TripleDensity(0.6, 0.3, 0.1)
+        for n in (0, 1, 2, 5):
+            fam = synthesize_triples(d0, n)
+            for i in range(1 << n):
+                assert fam.density(i) == evolve_triple(d0, index_to_path(i, n))
 
     def test_exhaustive_leaf_enumeration_oracle(self):
         # exact distribution of every root message at n = 2 by enumerating
