@@ -240,8 +240,12 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
     """Finite-alphabet density evolution to all N tree channels.
 
     ``d0`` must already be supported on the alphabet of ``spec`` (quantize it
-    first).  Work grows as |Q|^2 N, guarded by ``op_budget`` against
-    accidental |Q|^2 N log N blowups.
+    first).  ``op_budget`` is charged |Q|^2 N log N (log N taken as at least
+    1) before any work starts, and the call raises if that exceeds it; the
+    pair enumerations over all levels come to about 2 |Q|^2 N.
+
+    Each level's rows are divided by their sums, so rounding in the pair
+    transforms cannot accumulate over the levels into a mass defect.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -257,6 +261,7 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
         nxt = np.empty((2 * rows.shape[0], rows.shape[1]))
         nxt[0::2] = checks
         nxt[1::2] = vars_
+        nxt /= nxt.sum(axis=1, keepdims=True)
         rows = nxt
     return SynthesizedFamily(n=n, kind="quantized", data=rows, alphabet=levels(spec))
 

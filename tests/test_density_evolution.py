@@ -222,6 +222,15 @@ class TestSynthesize:
         fam = synthesize(d0, 0, spec)
         assert np.allclose(fam.data[0], d0.probs)
 
+    def test_every_row_is_a_density_at_depth(self):
+        # rounding in the pair transforms, left to accumulate over 16
+        # levels, moves row sums beyond LlrDensity's 1e-12 tolerance
+        spec = QuantizerSpec(delta=0.5, m_sat=8.0)  # |Q| = 33
+        d0 = quantize_density(BSC(0.11).llr_density(), spec)
+        fam = synthesize(d0, 16, spec)
+        for i in range(fam.block_length):
+            fam.density(i)
+
     def test_triples_match_per_path_evolution(self):
         d0 = BSC(0.11).triple()
         for n in (1, 3, 6, 10):
