@@ -22,6 +22,13 @@ INF = math.inf
 _LN2 = math.log(2.0)
 
 
+def _spec_number(x: float) -> str:
+    """``x`` for a spec string: ``%g`` when that reads back exactly, else repr."""
+    x = float(x)
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 class InvalidChannelError(ValueError):
     """Channel parameter outside its valid range."""
 
@@ -225,7 +232,7 @@ class BEC(ChannelModel):
         return np.where(u < self.eps, 0.0, INF) if size is not None else (0.0 if u < self.eps else INF)
 
     def spec_string(self) -> str:
-        return f"bec:{self.eps:g}"
+        return f"bec:{_spec_number(self.eps)}"
 
 
 class BSC(ChannelModel):
@@ -265,7 +272,7 @@ class BSC(ChannelModel):
         return np.where(u < self.eps, -l0, l0)
 
     def spec_string(self) -> str:
-        return f"bsc:{self.eps:g}"
+        return f"bsc:{_spec_number(self.eps)}"
 
 
 class BAWGN(ChannelModel):
@@ -327,7 +334,7 @@ class BAWGN(ChannelModel):
         return 2.0 * y / self.sigma**2
 
     def spec_string(self) -> str:
-        return f"bawgn:{self.sigma:g}"
+        return f"bawgn:{_spec_number(self.sigma)}"
 
 
 class DiscreteSymmetric(ChannelModel):
@@ -379,7 +386,8 @@ class DiscreteSymmetric(ChannelModel):
         return self.levels[idx]
 
     def spec_string(self) -> str:
-        pairs = ";".join(f"{l:g},{p:g}" for l, p in zip(self.levels, self.probs))
+        pairs = ";".join(f"{_spec_number(l)},{_spec_number(p)}"
+                         for l, p in zip(self.levels, self.probs))
         return f"discrete:{pairs}"
 
 
@@ -408,8 +416,10 @@ def channel_from_triple(p: float, e: float, m: float) -> DiscreteSymmetric:
 def parse_channel(spec: str) -> ChannelModel:
     """Parse a channel spec string.
 
-    Grammar: ``bec:<eps>``, ``bsc:<eps>``, ``bawgn:<sigma>`` or
-    ``triple:<p>,<e>,<m>``.  Decimal points only, locale independent.
+    Grammar: ``bec:<eps>``, ``bsc:<eps>``, ``bawgn:<sigma>``,
+    ``triple:<p>,<e>,<m>`` or ``discrete:<level>,<mass>;<level>,<mass>;...``
+    (levels may be ``inf`` and ``-inf``).  Decimal points only, locale
+    independent.  Every ``spec_string()`` parses back to the same parameters.
     """
     kind, sep, arg = spec.partition(":")
     if not sep:
@@ -427,6 +437,12 @@ def parse_channel(spec: str) -> ChannelModel:
             if len(parts) != 3:
                 raise InvalidChannelError("triple spec needs three comma-separated masses")
             return channel_from_triple(*parts)
+        if kind == "discrete":
+            pairs = [[float(x) for x in pair.split(",")] for pair in arg.split(";")]
+            if any(len(pair) != 2 for pair in pairs):
+                raise InvalidChannelError("discrete spec needs ';'-separated <level>,<mass> pairs")
+            levels, probs = zip(*pairs)
+            return DiscreteSymmetric(levels, probs)
     except InvalidChannelError:
         raise
     except ValueError as exc:

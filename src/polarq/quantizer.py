@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import INF, LlrDensity
+from .channels import INF, LlrDensity, _spec_number
 
 
 class InvalidQuantizerError(ValueError):
@@ -53,7 +53,7 @@ class QuantizerSpec:
         return 1 + 2 * self.half_levels
 
     def spec_string(self) -> str:
-        return f"q:delta={self.delta:g},M={self.m_sat:g}"
+        return f"q:delta={_spec_number(self.delta)},M={_spec_number(self.m_sat)}"
 
 
 class SignQuantizer:

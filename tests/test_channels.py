@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import chisquare
@@ -255,8 +257,37 @@ class TestDiscreteAndParsing:
         ch = parse_channel("triple:0.89,0,0.11")
         assert isinstance(ch, DiscreteSymmetric)
 
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 0.5),
+           st.floats(0.0, exclude_min=True, allow_infinity=False))
+    def test_parse_round_trip_exact(self, erasure, crossover, sigma):
+        # spec strings name their channel exactly, not to %g's six digits
+        for ch, param in ((BEC(erasure), "eps"), (BSC(crossover), "eps"),
+                          (BAWGN(sigma), "sigma")):
+            back = parse_channel(ch.spec_string())
+            assert type(back) is type(ch)
+            assert getattr(back, param) == getattr(ch, param)
+
+    # masses 0 or at least 1e-100, so that p/m stays finite
+    @given(st.tuples(*[st.just(0.0) | st.floats(1e-100, 1.0)] * 3)
+           .filter(lambda t: sum(t) > 0.0))
+    def test_discrete_parse_round_trip_exact(self, raw):
+        p, e, m = np.array(raw) / sum(raw)
+        ch = channel_from_triple(*((m, e, p) if m > p else (p, e, m)))
+        back = parse_channel(ch.spec_string())
+        assert isinstance(back, DiscreteSymmetric)
+        assert np.array_equal(back.levels, ch.levels)
+        assert np.array_equal(back.probs, ch.probs)
+
+    def test_discrete_spec_parses(self):
+        ch = parse_channel("discrete:-inf,0;0,0.25;inf,0.75")
+        assert ch.triple() == TripleDensity(0.75, 0.25, 0.0)
+        spec = channel_from_triple(0.8, 0.1, 0.1).spec_string()
+        assert parse_channel(spec).spec_string() == spec
+        assert BSC(0.110000001).spec_string() == "bsc:0.110000001"
+
     def test_parse_errors(self):
-        for bad in ("bec", "foo:1", "bsc:0.7", "triple:0.5,0.5", "bec:abc"):
+        for bad in ("bec", "foo:1", "bsc:0.7", "triple:0.5,0.5", "bec:abc",
+                    "discrete:0,1;", "discrete:-1,0.5;1", "discrete:-1,0.2;1,0.2"):
             with pytest.raises(InvalidChannelError):
                 parse_channel(bad)
 

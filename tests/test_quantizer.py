@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polarq.channels import BSC, LlrDensity
 from polarq.quantizer import (
@@ -120,6 +122,11 @@ class TestParse:
         assert parse_quantizer(spec.spec_string()) == spec
         assert parse_quantizer("q:sign") is SIGN
         assert isinstance(parse_quantizer("q:SIGN"), SignQuantizer)
+
+    @given(st.floats(1e-6, 1e6), st.integers(1, 10**6))
+    def test_round_trip_exact(self, delta, half_levels):
+        spec = QuantizerSpec(delta=delta, m_sat=half_levels * delta)
+        assert parse_quantizer(spec.spec_string()) == spec
 
     def test_errors(self):
         for bad in ("delta=1,M=2", "q:delta=1", "q:delta=0.3,M=1", "q:delta=a,M=2"):
