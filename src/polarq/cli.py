@@ -124,6 +124,13 @@ def cmd_construct(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    path = Path(args.out)
+    append = path.exists() and path.stat().st_size > 0
+    if append:
+        with path.open(encoding="ascii") as fh:
+            if fh.readline().rstrip("\n") != TRIAL_CSV_HEADER:
+                raise ValueError(f"{args.out} does not start with the simulate CSV header; "
+                                 "refusing to append to it")
     code, _ = read_code_file(args.code)
     channel = parse_channel(args.channel)
     if args.decoder == "quantized":
@@ -137,8 +144,7 @@ def cmd_simulate(args) -> None:
     report = simulate_block_error(code, channel, decoder, args.trials, args.seed,
                                   threads=args.threads)
     row = report.csv_row(channel, code)
-    path = Path(args.out)
-    if path.exists() and path.stat().st_size > 0:
+    if append:
         with path.open("a", encoding="ascii") as fh:
             fh.write(row + "\n")
     else:

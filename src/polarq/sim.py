@@ -10,6 +10,8 @@ for any thread count.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,9 +46,13 @@ class TrialReport:
         return self.per_index_errors / self.trials
 
     def csv_row(self, channel: ChannelModel, code: PolarCode) -> str:
-        return (f"{self.decoder},{channel.spec_string()},{code.n},"
-                f"{code.rate:.10g},{self.trials},{self.seed},"
-                f"{self.block_errors},{self.bler:.10g},{self.ci95:.10g}")
+        """One CSV line under TRIAL_CSV_HEADER; labels with commas are quoted."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(
+            [self.decoder, channel.spec_string(), code.n, f"{code.rate:.10g}",
+             self.trials, self.seed, self.block_errors, f"{self.bler:.10g}",
+             f"{self.ci95:.10g}"])
+        return buf.getvalue()
 
 
 TRIAL_CSV_HEADER = "decoder,channel,n,rate,trials,seed,block_errors,bler,ci95"

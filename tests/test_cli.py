@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -155,6 +156,25 @@ class TestSimulateCommand:
                        "--out", str(out)) == 0
             texts.append(out.read_text())
         assert texts[0] == texts[1]
+
+    def test_refuses_to_append_under_a_foreign_header(self, tmp_path):
+        code = self._construct(tmp_path)
+        out = tmp_path / "sim.csv"
+        out.write_text("something,else\n1,2\n")
+        assert run("simulate", "--code", str(code), "--channel", "bec:0.5",
+                   "--decoder", "erasure", "--trials", "10", "--seed", "0",
+                   "--out", str(out)) == 2
+        assert out.read_text() == "something,else\n1,2\n"
+
+    def test_quantizer_label_is_one_field(self, tmp_path):
+        code = self._construct(tmp_path)
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--code", str(code), "--channel", "bec:0.5",
+                   "--decoder", "quantized", "--quantizer", "q:delta=1,M=8",
+                   "--trials", "10", "--seed", "0", "--out", str(out)) == 0
+        header, row = csv.reader(out.read_text().splitlines())
+        assert len(row) == len(header) == 9
+        assert row[0] == "q:delta=1,M=8" and row[1] == "bec:0.5"
 
     def test_quantized_requires_quantizer(self, tmp_path):
         code = self._construct(tmp_path)
