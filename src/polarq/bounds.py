@@ -32,6 +32,7 @@ from .channels import (
     BEC,
     BSC,
     TripleDensity,
+    _bhattacharyya_arrays,
     _mutual_info_arrays,
     binary_entropy,
 )
@@ -57,15 +58,10 @@ def bhattacharyya_step_check(d: TripleDensity) -> tuple[bool, bool]:
     Both inequalities drive the block-error exponent; each is reported with
     a -1e-12 slack so exact equalities pass.
     """
-    from .channels import triple_stats
-    from .density_evolution import triple_minus, triple_plus
-
-    z = triple_stats(d)[1]
-    z_minus = triple_stats(triple_minus(d))[1]
-    z_plus = triple_stats(triple_plus(d))[1]
-    holds_minus = z_minus <= 2.0 * z + 1e-12
-    holds_plus = z_plus <= 2.0 * z**1.5 + 1e-12
-    return holds_minus, holds_plus
+    state = d.as_array()[:, None]
+    z = _bhattacharyya_arrays(*state)
+    z_minus, z_plus = _bhattacharyya_arrays(*_double_level(*state))
+    return bool(z_minus <= 2.0 * z + 1e-12), bool(z_plus <= 2.0 * z**1.5 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,7 @@ def bounds_series_mc(d0: TripleDensity, n: int, samples: int, seed: int) -> McBo
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     rng = np.random.default_rng(seed)
-    p, e, m = (np.full(samples, x) for x in (d0.p, d0.e, d0.m))
+    p, e, m = np.repeat(d0.as_array()[:, None], samples, axis=1)
     column = np.arange(samples)
     for _ in range(n):
         # child b of sample s sits at b * samples + s

@@ -87,8 +87,7 @@ def triple_stats(d: TripleDensity) -> tuple[float, float, float]:
             float(_error_rate_arrays(p, e, m)))
 
 
-# The functionals on arrays of triples; the scalar forms above and in the
-# bounds and density evolution modules evaluate these.
+# The functionals on arrays of triples, the one definition of each.
 
 def _mutual_info_arrays(p, e, m):
     # s(1 - h2(p/s)) written as s + p log2 p + m log2 m - s log2 s with
@@ -104,6 +103,12 @@ def _bhattacharyya_arrays(p, e, m):
 def _error_rate_arrays(p, e, m):
     # m + e/2 rather than 1 - p - e/2, which cancels at tiny error rates
     return m + 0.5 * e
+
+
+def _sign_masses(alphabet, probs):
+    """Masses (p, e, m) above, at and below LLR 0, per row of ``probs``."""
+    return tuple(probs[..., side].sum(axis=-1)
+                 for side in (alphabet > 0.0, alphabet == 0.0, alphabet < 0.0))
 
 
 class LlrDensity:
@@ -157,9 +162,7 @@ class LlrDensity:
 
     def error_prob(self) -> float:
         """Pr(L < 0) + Pr(L = 0)/2, the hard-decision error probability."""
-        neg = self.probs[self.alphabet < 0.0].sum()
-        zero = self.probs[self.alphabet == 0.0].sum()
-        return float(neg + 0.5 * zero)
+        return float(_error_rate_arrays(*_sign_masses(self.alphabet, self.probs)))
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
         """Whether the mass function equals its mirror image."""
@@ -371,11 +374,7 @@ class DiscreteSymmetric(ChannelModel):
         return float(np.dot(probs[live], 1.0 - loss))
 
     def triple(self) -> TripleDensity:
-        levels, probs = self.levels, self.probs
-        p = probs[levels > 0.0].sum()
-        e = probs[levels == 0.0].sum()
-        m = probs[levels < 0.0].sum()
-        return TripleDensity(float(p), float(e), float(m))
+        return TripleDensity(*map(float, _sign_masses(self.levels, self.probs)))
 
     def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
         return self._density

@@ -144,11 +144,8 @@ def cmd_simulate(args) -> None:
     report = simulate_block_error(code, channel, decoder, args.trials, args.seed,
                                   threads=args.threads)
     row = report.csv_row(channel, code)
-    if append:
-        with path.open("a", encoding="ascii") as fh:
-            fh.write(row + "\n")
-    else:
-        _write_text(args.out, TRIAL_CSV_HEADER + "\n" + row + "\n")
+    with path.open("a" if append else "w", encoding="ascii") as fh:
+        fh.write(("" if append else TRIAL_CSV_HEADER + "\n") + row + "\n")
 
 
 def cmd_sweep_q(args) -> None:

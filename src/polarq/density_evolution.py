@@ -5,14 +5,12 @@ tree transforms have closed forms; for a general uniform quantizer the law
 is a finite mass function over the quantizer alphabet and the transforms are
 exact push-forwards computed by enumerating all |Q|^2 input pairs.
 
-The closed forms are written once, in ``_double_level``, which maps every
-state on the last array axis to its two children, the check (minus) block
-first and the variable (plus) block second.  ``triple_plus``,
-``triple_minus``, ``synthesize_triples`` and the bounds module all call it.
-After n levels a position holds its path bits newest first, so
-``synthesize_triples`` ends with one bit-reversal gather into index order.
-The finite-alphabet pair transforms are likewise written once, row-wise, in
-``_de_var_vec`` and ``_de_check_vec``.
+The triple closed forms are written once, in ``_double_level``, which the
+scalar transforms, ``synthesize_triples`` and the bounds module all call.
+It puts the check (minus) children of a level first and the variable
+(plus) children second; ``synthesize`` keeps the same layout, and both end
+with one bit-reversal gather into index order (``_index_order``).  The
+finite-alphabet pair transforms are written once, in ``_de_*_vec``.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LlrDensity, TripleDensity, _error_rate_arrays
+from .channels import LlrDensity, TripleDensity, _error_rate_arrays, _sign_masses
 from .codec import check_llrs
 from .quantizer import QuantizerSpec, levels, quantize_index
 
@@ -35,17 +33,12 @@ class ResourceCeilingError(RuntimeError):
 # three-level transforms
 
 def _double_level(p, e, m):
-    """One polarization level: both children of every state on the last axis.
+    """Both children of every state on the last axis, which doubles.
 
-    The last axis doubles.  Check (minus) children fill its first half and
-    variable (plus) children its second half, each in the parents' order:
-
-        minus: (p^2 + m^2, 1 - (1-e)^2, 2pm)
-        plus:  (p^2 + 2pe, e^2 + 2pm, m^2 + 2em)
-
-    Each erasure mass is written as the complement 1 - p' - m', which keeps
-    p + e + m pinned at 1 through deep recursions.  The doubled products
-    are formed as (2p)e, (2p)m and (2e)m.
+    Check children (``triple_minus``) fill its first half and variable
+    children (``triple_plus``) its second half, each in the parents' order.
+    Erasure masses are complements 1 - p' - m', which keeps p + e + m
+    pinned at 1 through deep recursions.
     """
     width = p.shape[-1]
     shape = p.shape[:-1] + (2 * width,)
@@ -75,7 +68,7 @@ def _double_level(p, e, m):
 
 def _child(d: TripleDensity, b: int) -> TripleDensity:
     """Child ``b`` of ``d``: 0 for the check transform, 1 for the variable one."""
-    p, e, m = _double_level(np.array([d.p]), np.array([d.e]), np.array([d.m]))
+    p, e, m = _double_level(*d.as_array()[:, None])
     return TripleDensity(float(p[b]), float(e[b]), float(m[b]))
 
 
@@ -204,9 +197,7 @@ class SynthesizedFamily:
         """Pr(root < 0) + Pr(root = 0)/2 for every index."""
         if self.kind == "triple":
             return _error_rate_arrays(*self.data.T)
-        neg = self.alphabet < 0.0
-        zero = self.alphabet == 0.0
-        return self.data[:, neg].sum(axis=1) + 0.5 * self.data[:, zero].sum(axis=1)
+        return _error_rate_arrays(*_sign_masses(self.alphabet, self.data))
 
     def csv_rows(self):
         """Rows (index, p_err[, p, e, m]) with 10 significant digits."""
@@ -222,17 +213,24 @@ class SynthesizedFamily:
                 yield f"{i},{perr[i]:.10g}"
 
 
+def _index_order(block: np.ndarray) -> np.ndarray:
+    """Rows of a level-doubled block layout, minus block first, in index order.
+
+    A block position holds its path bits newest first and an index holds
+    them oldest first, so index i is the row at bit-reversed i.
+    """
+    n = block.shape[0].bit_length() - 1
+    return block[np.arange(1 << n).reshape((2,) * n).transpose().ravel()]
+
+
 def synthesize_triples(d0: TripleDensity, n: int) -> SynthesizedFamily:
     """Evolve the three-level law to all N tree channels by level doubling."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p, e, m = (np.array([x]) for x in (d0.p, d0.e, d0.m))
+    p, e, m = d0.as_array()[:, None]
     for _ in range(n):
         p, e, m = _double_level(p, e, m)
-    # a kernel position holds the path bits newest first, an index oldest
-    # first: index i sits at the position of bit-reversed i
-    reverse = np.arange(1 << n).reshape((2,) * n).transpose().ravel()
-    return SynthesizedFamily(n=n, kind="triple", data=np.stack([p, e, m], axis=1)[reverse])
+    return SynthesizedFamily(n=n, kind="triple", data=_index_order(np.stack([p, e, m], axis=1)))
 
 
 def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
@@ -240,12 +238,10 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
     """Finite-alphabet density evolution to all N tree channels.
 
     ``d0`` must already be supported on the alphabet of ``spec`` (quantize it
-    first).  ``op_budget`` is charged |Q|^2 N log N (log N taken as at least
-    1) before any work starts, and the call raises if that exceeds it; the
-    pair enumerations over all levels come to about 2 |Q|^2 N.
-
-    Each level's rows are divided by their sums, so rounding in the pair
-    transforms cannot accumulate over the levels into a mass defect.
+    first).  The call raises before any work if |Q|^2 N log N (log N at
+    least 1) exceeds ``op_budget``; the pair enumerations total about 2 |Q|^2 N.
+    Each level's rows are divided by their sums, so that rounding cannot
+    accumulate over the levels into a mass defect.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -256,14 +252,10 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
             "use a coarser quantizer, a smaller n, or raise op_budget")
     rows = _density_vector(d0, spec)[None, :]
     for _ in range(n):
-        checks = _de_check_vec(rows, rows, spec)
-        vars_ = _de_var_vec(rows, rows, spec)
-        nxt = np.empty((2 * rows.shape[0], rows.shape[1]))
-        nxt[0::2] = checks
-        nxt[1::2] = vars_
-        nxt /= nxt.sum(axis=1, keepdims=True)
-        rows = nxt
-    return SynthesizedFamily(n=n, kind="quantized", data=rows, alphabet=levels(spec))
+        rows = np.concatenate([_de_check_vec(rows, rows, spec), _de_var_vec(rows, rows, spec)])
+        rows /= rows.sum(axis=1, keepdims=True)
+    return SynthesizedFamily(n=n, kind="quantized", data=_index_order(rows),
+                             alphabet=levels(spec))
 
 
 def bit_error_prob(density) -> float:
