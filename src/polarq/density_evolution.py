@@ -48,7 +48,8 @@ def _double_level(p, e, m):
     new_p = np.empty(shape)
     new_e = np.empty(shape)
     new_m = np.empty(shape)
-    # check (minus) children
+    # check (minus) children; the doubled products are (2p)m, (2p)e and
+    # (2e)m, since (pm)2 rounds before doubling and moves subnormal masses
     twice_p = 2.0 * p
     np.add(p2, m2, out=new_p[minus])
     np.multiply(twice_p, m, out=new_m[minus])
@@ -239,9 +240,9 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
 
     ``d0`` must already be supported on the alphabet of ``spec`` (quantize it
     first).  The call raises before any work if |Q|^2 N log N (log N at
-    least 1) exceeds ``op_budget``; the pair enumerations total about 2 |Q|^2 N.
-    Each level's rows are divided by their sums, so that rounding cannot
-    accumulate over the levels into a mass defect.
+    least 1) exceeds ``op_budget``; the pair enumerations themselves total
+    about 2 |Q|^2 N.  Each level's rows are divided by their sums, so that
+    rounding cannot accumulate over the levels into a mass defect.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
