@@ -113,14 +113,13 @@ def _level_means(p0, e0, m0, n_max: int) -> Iterator[tuple[np.ndarray, np.ndarra
                _mutual_info_arrays(p, e, m).mean(axis=1))
 
 
-def bounds_series(d0: TripleDensity, n_max: int, *,
-                  ceiling: int = ENUMERATION_CEILING) -> BoundsSeries:
+def bounds_series(d0: TripleDensity, n_max: int) -> BoundsSeries:
     """Exact L_0..L_n_max and U_0..U_n_max for the starting triple ``d0``."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max > ceiling:
+    if n_max > ENUMERATION_CEILING:
         raise ValueError(
-            f"n_max={n_max} exceeds the enumeration ceiling {ceiling}; "
+            f"n_max={n_max} exceeds the enumeration ceiling {ENUMERATION_CEILING}; "
             "use bounds_series_mc for deeper levels")
     lower = np.empty(n_max + 1)
     upper = np.empty(n_max + 1)

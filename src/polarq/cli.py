@@ -24,6 +24,7 @@ from .density_evolution import (
     synthesize_triples,
 )
 from .quantizer import (
+    SIGN,
     QuantizerSpec,
     SignQuantizer,
     parse_quantizer,
@@ -137,8 +138,6 @@ def cmd_simulate(args) -> None:
         if not args.quantizer:
             raise ValueError("--decoder quantized requires --quantizer")
         decoder = parse_quantizer(args.quantizer)
-        if isinstance(decoder, SignQuantizer):
-            decoder = "erasure"
     else:
         decoder = args.decoder
     report = simulate_block_error(code, channel, decoder, args.trials, args.seed,
@@ -162,7 +161,7 @@ def cmd_sweep_q(args) -> None:
             # the three-level decoder is the sign quantizer (the M = delta
             # limit); the uniform rule at q = 3 would send every moderate
             # LLR to 0
-            family = synthesize_triples(channel.triple(), args.n)
+            family = _synthesized_family(channel, SIGN, args.n, args.grid, args.span)
             delta_str = "sign"
         else:
             spec = QuantizerSpec(delta=2.0 * args.m_sat / (q - 1), m_sat=args.m_sat)

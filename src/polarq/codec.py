@@ -6,11 +6,15 @@ b1..bn (b1 most significant), the decision statistic is produced by a depth-n
 computation tree whose level j applies a check combine when bj = 0 and a
 variable combine when bj = 1; level 1 acts directly on the channel LLRs.
 
-Three decoders share that control flow and differ only in the node algebra:
+Three decoders share that control flow and differ only in the message
+alphabet, which fixes the node algebra:
 
 * ``sc_decode``          exact LLR arithmetic (tanh rule), saturating infinities
 * ``quantized_sc_decode`` every node output passed through a uniform quantizer
 * ``erasure_sc_decode``   the three-symbol algebra on {-inf, 0, +inf}
+
+All three run ``_sc_batch``, which takes raw channel LLRs and maps them onto
+the decoder's alphabet itself.
 
 A decoder draws one fair tie-break coin per bit index up front, so two
 decoders fed the same generator state consume identical randomness.
@@ -28,11 +32,10 @@ from .quantizer import QuantizerSpec, quantize
 
 @dataclass(frozen=True)
 class PolarCode:
-    """Block exponent ``n`` (N = 2**n) plus the information index set."""
+    """Block exponent ``n`` (N = 2**n) plus the information index set; frozen bits are 0."""
 
     n: int
     info_set: frozenset = field(default_factory=frozenset)
-    frozen_value: int = 0
 
     def __post_init__(self):
         if self.n < 0:
@@ -40,8 +43,6 @@ class PolarCode:
         info = frozenset(int(i) for i in self.info_set)
         if any(i < 0 or i >= self.block_length for i in info):
             raise ValueError("information index out of range")
-        if self.frozen_value != 0:
-            raise ValueError("frozen bits are fixed to 0")
         object.__setattr__(self, "info_set", info)
 
     @property
@@ -98,22 +99,19 @@ def encode(u, n: int | None = None) -> np.ndarray:
 def check_llrs(a, b):
     """Exact check combine 2*atanh(tanh(a/2)*tanh(b/2)), batched and safe.
 
-    Evaluated as sign(a)sign(b)min(|a|,|b|) plus the two log1p correction
-    terms, which is the same function written without overflow; infinities
-    follow their analytic limits and zero absorbs.
+    Evaluated as sign(a)sign(b)(min(|a|,|b|) + log1p(exp(-(|a|+|b|)))
+    - log1p(exp(-||a|-|b||))), the same function without overflow; the
+    correction's inf - inf NaN is set to 0, and zero absorbs.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    finite = np.isfinite(a) & np.isfinite(b) & (a != 0.0) & (b != 0.0)
-    if np.any(finite):
-        af = a[finite]
-        bf = b[finite]
-        corr = np.log1p(np.exp(-np.abs(af + bf))) - np.log1p(np.exp(-np.abs(af - bf)))
-        out = base
-        out[finite] += corr
-        return out
-    return base
+    abs_a = np.abs(a)
+    abs_b = np.abs(b)
+    with np.errstate(invalid="ignore"):  # both infinite: inf - inf
+        corr = np.log1p(np.exp(-(abs_a + abs_b))) - np.log1p(np.exp(-np.abs(abs_a - abs_b)))
+    sign = np.sign(a) * np.sign(b)
+    # signing each term, not their sum, makes an exact cancellation +0.0
+    return sign * np.minimum(abs_a, abs_b) + sign * np.where(np.isnan(corr), 0.0, corr)
 
 
 def var_llrs(a, b, flip):
@@ -142,7 +140,12 @@ def _var_signs(a, b, flip):
 
 def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = None,
               signs: bool = False, genie: bool = False):
-    """Run SC decoding on a (trials, N) batch.
+    """Run SC decoding on a (trials, N) batch of raw channel LLRs.
+
+    The inputs are mapped onto the decoder's alphabet first: ``signs=True``
+    takes their signs as int8 (the three-symbol algebra), a ``spec``
+    quantizes them and every node output, and exact SC uses them as given.
+    Inputs already on the alphabet map to themselves.
 
     Returns (u_hat, roots, errors): hard decisions, root decision statistics
     and, in genie mode, the per-index would-be-error indicators under the
@@ -156,8 +159,10 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
         raise ValueError("tie_bits must match the LLR batch shape")
 
     if signs:
+        llrs = np.sign(llrs).astype(np.int8)
         fcheck, fvar = _check_signs, _var_signs
     elif spec is not None:
+        llrs = quantize(spec, llrs)
         fcheck = lambda a, b: quantize(spec, check_llrs(a, b))
         fvar = lambda a, b, flip: quantize(spec, var_llrs(a, b, flip))
     else:
@@ -216,7 +221,7 @@ def quantized_sc_decode(llrs, code: PolarCode, spec: QuantizerSpec,
     Raw channel LLRs are quantized on entry, so pre-quantized input passes
     through unchanged.
     """
-    llrs = quantize(spec, np.asarray(llrs, dtype=float)).reshape(1, -1)
+    llrs = np.asarray(llrs, dtype=float).reshape(1, -1)
     tie = _draw_tie_bits(rng, 1, llrs.shape[1])
     u_hat, roots, _ = _sc_batch(llrs, code, tie, spec=spec)
     return u_hat[0], roots[0]
@@ -233,7 +238,6 @@ def erasure_sc_decode(signs, code: PolarCode, rng: np.random.Generator):
     valid = (signs == 0.0) | (signs == INF) | (signs == -INF)
     if not np.all(valid):
         raise ValueError("erasure decoder inputs must lie in {-inf, 0, +inf}")
-    compact = np.sign(signs).astype(np.int8)
     tie = _draw_tie_bits(rng, 1, signs.shape[1])
-    u_hat, _, _ = _sc_batch(compact, code, tie, signs=True)
+    u_hat, _, _ = _sc_batch(signs, code, tie, signs=True)
     return u_hat[0]

@@ -21,7 +21,7 @@ import numpy as np
 from .channels import ChannelModel
 from .codec import PolarCode, _sc_batch, encode
 from .density_evolution import SynthesizedFamily
-from .quantizer import QuantizerSpec, SignQuantizer, quantize, sign_quantize
+from .quantizer import QuantizerSpec, SignQuantizer
 
 _Z95 = 1.959963984540054
 _CHUNK = 4096  # fixed, so chunked results never depend on worker count
@@ -93,13 +93,7 @@ def _run_chunk(code, channel, spec, signs, seed, start, stop, genie,
     if random_messages:
         # by channel symmetry a transmitted 1 mirrors the all-zero LLR law
         llrs *= 1.0 - 2.0 * encode(messages)
-    if signs:
-        inputs = np.sign(sign_quantize(llrs)).astype(np.int8)
-    elif spec is not None:
-        inputs = quantize(spec, llrs)
-    else:
-        inputs = llrs
-    u_hat, _, errors = _sc_batch(inputs, code, ties, spec=spec, signs=signs,
+    u_hat, _, errors = _sc_batch(llrs, code, ties, spec=spec, signs=signs,
                                  genie=genie)
     if genie:
         wrong = errors[:, info].any(axis=1) if info.size else np.zeros(batch, bool)

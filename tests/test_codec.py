@@ -258,8 +258,6 @@ class TestPolarCode:
     def test_validation(self):
         with pytest.raises(ValueError):
             PolarCode(n=2, info_set=frozenset({4}))
-        with pytest.raises(ValueError):
-            PolarCode(n=2, info_set=frozenset({0}), frozen_value=1)
 
     def test_rate(self):
         code = PolarCode(n=3, info_set=frozenset({0, 1, 2, 3}))
