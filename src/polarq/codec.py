@@ -99,19 +99,25 @@ def encode(u, n: int | None = None) -> np.ndarray:
 def check_llrs(a, b):
     """Exact check combine 2*atanh(tanh(a/2)*tanh(b/2)), batched and safe.
 
-    Evaluated as sign(a)sign(b)(min(|a|,|b|) + log1p(exp(-(|a|+|b|)))
-    - log1p(exp(-||a|-|b||))), the same function without overflow; the
-    correction's inf - inf NaN is set to 0, and zero absorbs.
+    The magnitude is evaluated in that tanh form where min(|a|,|b|) < 1, and
+    elsewhere as min(|a|,|b|) + log1p(exp(-(|a|+|b|))) - log1p(exp(-||a|-|b||)),
+    the same function without overflow, whose NaN when both inputs are
+    infinite is set to inf.  The log form cancels to rounding noise of either
+    sign at small inputs, which the tanh form does not.  Zero absorbs.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     abs_a = np.abs(a)
     abs_b = np.abs(b)
-    with np.errstate(invalid="ignore"):  # both infinite: inf - inf
-        corr = np.log1p(np.exp(-(abs_a + abs_b))) - np.log1p(np.exp(-np.abs(abs_a - abs_b)))
-    sign = np.sign(a) * np.sign(b)
-    # signing each term, not their sum, makes an exact cancellation +0.0
-    return sign * np.minimum(abs_a, abs_b) + sign * np.where(np.isnan(corr), 0.0, corr)
+    # min(|a|,|b|) is recomputed and each step replaces mag, so at most six
+    # input-sized arrays are live at once (a |Q| = 2001 check table is 4M pairs)
+    with np.errstate(invalid="ignore", divide="ignore"):  # both infinite
+        mag = np.minimum(abs_a, abs_b) + (np.log1p(np.exp(-(abs_a + abs_b)))
+                                          - np.log1p(np.exp(-np.abs(abs_a - abs_b))))
+        mag = np.where(np.isnan(mag), INF, mag)
+        mag = np.where(np.minimum(abs_a, abs_b) < 1.0,
+                       2.0 * np.arctanh(np.tanh(abs_a / 2.0) * np.tanh(abs_b / 2.0)), mag)
+    return np.sign(a) * np.sign(b) * mag
 
 
 def var_llrs(a, b, flip):

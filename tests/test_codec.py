@@ -91,6 +91,20 @@ class TestNodeRules:
         direct = 2 * np.arctanh(np.tanh(a / 2) * np.tanh(b / 2))
         assert np.abs(check_llrs(a, b) - direct).max() < 1e-12
 
+    def test_check_rule_keeps_sign_at_small_llrs(self):
+        # log-uniform magnitudes in [1e-20, 10]: a log1p form that cancels
+        # to rounding noise gets thousands of these signs wrong
+        rng = np.random.default_rng(0)
+        a, b = 10.0 ** rng.uniform(-20, 1, (2, 20000)) * rng.choice([-1.0, 1.0], (2, 20000))
+        out = check_llrs(a, b)
+        assert np.array_equal(np.sign(out), np.sign(a) * np.sign(b))
+        small = (np.abs(a) <= 1) & (np.abs(b) <= 1)
+        direct = 2 * np.arctanh(np.tanh(a[small] / 2) * np.tanh(b[small] / 2))
+        assert np.max(np.abs(out[small] - direct) / np.abs(direct)) <= 1e-14
+
+    def test_check_rule_on_python_floats(self):
+        assert check_llrs(1.0, 2.0) == check_llrs(np.array([1.0]), np.array([2.0]))[0]
+
     def test_check_sentinels(self):
         a = np.array([INF, INF, 0.0, INF, -INF, 5.0])
         b = np.array([-INF, INF, INF, 3.0, 3.0, 0.0])
