@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarq.channels import BEC, BSC
 from polarq.codec import (
     PolarCode,
+    _sc_batch,
     check_llrs,
     encode,
     erasure_sc_decode,
@@ -15,7 +19,7 @@ from polarq.codec import (
     sc_decode,
     var_llrs,
 )
-from polarq.quantizer import QuantizerSpec, levels, sign_quantize
+from polarq.quantizer import QuantizerSpec, levels, quantize, sign_quantize
 
 INF = math.inf
 
@@ -266,6 +270,41 @@ class TestErasureDecode:
             u2, _ = quantized_sc_decode(np.sign(signs) * 4.0, code, spec,
                                         np.random.default_rng((4, t)))
             assert np.array_equal(u1, u2)
+
+
+@st.composite
+def decoder_batches(draw, elements):
+    """(words, code, tie bits) at n <= 6 with any info set; words drawn from ``elements``."""
+    n = draw(st.integers(0, 6))
+    size = 1 << n
+    shape = (draw(st.integers(1, 4)), size)
+    info = draw(st.sets(st.integers(0, size - 1)))
+    words = draw(arrays(np.float64, shape, elements=elements))
+    ties = draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
+    return words, PolarCode(n=n, info_set=frozenset(info)), ties
+
+
+class TestDecoderAlphabets:
+    @given(decoder_batches(st.sampled_from([-INF, 0.0, INF])), st.booleans())
+    def test_erasure_is_exact_sc_on_bec_symbols(self, batch, genie):
+        # any sign pattern, not only channel outputs of a codeword
+        words, code, ties = batch
+        u1, roots1, err1 = _sc_batch(words, code, ties, genie=genie)
+        u2, roots2, err2 = _sc_batch(words, code, ties, signs=True, genie=genie)
+        assert np.array_equal(u1, u2)
+        assert np.array_equal(np.sign(roots1), roots2)
+        assert (err1 is None and err2 is None) or np.array_equal(err1, err2)
+
+    @given(decoder_batches(st.floats(allow_nan=False)), st.booleans(),
+           st.floats(0.05, 4.0), st.integers(1, 8))
+    def test_quantized_inputs_map_to_themselves(self, batch, genie, delta, half_levels):
+        words, code, ties = batch
+        spec = QuantizerSpec(delta=delta, m_sat=half_levels * delta)
+        raw = _sc_batch(words, code, ties, spec=spec, genie=genie)
+        pre = _sc_batch(quantize(spec, words), code, ties, spec=spec, genie=genie)
+        assert np.array_equal(raw[0], pre[0])
+        assert raw[1].dtype == pre[1].dtype and raw[1].tobytes() == pre[1].tobytes()
+        assert (raw[2] is None and pre[2] is None) or np.array_equal(raw[2], pre[2])
 
 
 class TestPolarCode:
