@@ -203,8 +203,12 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
     return u_hat, roots, errors
 
 
-def _draw_tie_bits(rng, batch, size):
-    return rng.integers(0, 2, size=(batch, size), dtype=np.uint8)
+def _decode_word(word, code: PolarCode, rng: np.random.Generator, **decoder):
+    """(u_hat, roots) of one word, its tie-break coins drawn from ``rng`` first."""
+    llrs = np.asarray(word, dtype=float).reshape(1, -1)
+    tie = rng.integers(0, 2, size=llrs.shape, dtype=np.uint8)
+    u_hat, roots, _ = _sc_batch(llrs, code, tie, **decoder)
+    return u_hat[0], roots[0]
 
 
 def sc_decode(llrs, code: PolarCode, rng: np.random.Generator):
@@ -214,10 +218,7 @@ def sc_decode(llrs, code: PolarCode, rng: np.random.Generator):
     root statistic, an exact zero being resolved by a fair coin from ``rng``.
     Returns the decision vector and the per-index root statistics.
     """
-    llrs = np.asarray(llrs, dtype=float).reshape(1, -1)
-    tie = _draw_tie_bits(rng, 1, llrs.shape[1])
-    u_hat, roots, _ = _sc_batch(llrs, code, tie)
-    return u_hat[0], roots[0]
+    return _decode_word(llrs, code, rng)
 
 
 def quantized_sc_decode(llrs, code: PolarCode, spec: QuantizerSpec,
@@ -227,10 +228,7 @@ def quantized_sc_decode(llrs, code: PolarCode, spec: QuantizerSpec,
     Raw channel LLRs are quantized on entry, so pre-quantized input passes
     through unchanged.
     """
-    llrs = np.asarray(llrs, dtype=float).reshape(1, -1)
-    tie = _draw_tie_bits(rng, 1, llrs.shape[1])
-    u_hat, roots, _ = _sc_batch(llrs, code, tie, spec=spec)
-    return u_hat[0], roots[0]
+    return _decode_word(llrs, code, rng, spec=spec)
 
 
 def erasure_sc_decode(signs, code: PolarCode, rng: np.random.Generator):
@@ -240,10 +238,7 @@ def erasure_sc_decode(signs, code: PolarCode, rng: np.random.Generator):
     addition where opposite infinities cancel.  Inputs must already be
     sign-quantized.
     """
-    signs = np.asarray(signs, dtype=float).reshape(1, -1)
-    valid = (signs == 0.0) | (signs == INF) | (signs == -INF)
-    if not np.all(valid):
+    signs = np.asarray(signs, dtype=float)
+    if not np.all((signs == 0.0) | (signs == INF) | (signs == -INF)):
         raise ValueError("erasure decoder inputs must lie in {-inf, 0, +inf}")
-    tie = _draw_tie_bits(rng, 1, signs.shape[1])
-    u_hat, _, _ = _sc_batch(signs, code, tie, signs=True)
-    return u_hat[0]
+    return _decode_word(signs, code, rng, signs=True)[0]
