@@ -404,9 +404,7 @@ def channel_from_triple(p: float, e: float, m: float) -> DiscreteSymmetric:
         return DiscreteSymmetric([-INF, 0.0, INF], [0.0, e, p])
     if p == 0.0:
         raise InvalidChannelError("triple with p = 0 < m has no BMS representation")
-    ratio = float(p) / float(m)
-    # log(p) - log(m) only where p/m overflows; elsewhere it differs in the last bits
-    l0 = math.log(ratio) if ratio < INF else math.log(p) - math.log(m)
+    l0 = math.log(p) - math.log(m)  # p / m may overflow
     if l0 == 0.0:
         return DiscreteSymmetric([0.0], [1.0])
     if l0 < 0.0:
