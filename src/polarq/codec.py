@@ -99,11 +99,11 @@ def encode(u, n: int | None = None) -> np.ndarray:
 def check_llrs(a, b):
     """Exact check combine 2*atanh(tanh(a/2)*tanh(b/2)), batched and safe.
 
-    The magnitude is evaluated in that tanh form where min(|a|,|b|) < 1, and
-    elsewhere as min(|a|,|b|) + log1p(exp(-(|a|+|b|))) - log1p(exp(-||a|-|b||)),
-    the same function without overflow, whose NaN when both inputs are
-    infinite is set to inf.  The log form cancels to rounding noise of either
-    sign at small inputs, which the tanh form does not.  Zero absorbs.
+    The magnitude is that tanh form where min(|a|,|b|) < 1 and both inputs are
+    finite, else min(|a|,|b|) + log1p(exp(-(|a|+|b|))) - log1p(exp(-||a|-|b||)),
+    the same function without overflow, whose NaN for two infinite inputs is
+    inf.  The log form cancels to rounding noise at small inputs; the tanh form
+    does not.  Zero absorbs; an infinite input returns the other one exactly.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -115,7 +115,7 @@ def check_llrs(a, b):
         mag = np.minimum(abs_a, abs_b) + (np.log1p(np.exp(-(abs_a + abs_b)))
                                           - np.log1p(np.exp(-np.abs(abs_a - abs_b))))
         mag = np.where(np.isnan(mag), INF, mag)
-        mag = np.where(np.minimum(abs_a, abs_b) < 1.0,
+        mag = np.where((np.minimum(abs_a, abs_b) < 1.0) & (np.maximum(abs_a, abs_b) < INF),
                        2.0 * np.arctanh(np.tanh(abs_a / 2.0) * np.tanh(abs_b / 2.0)), mag)
     return np.sign(a) * np.sign(b) * mag
 

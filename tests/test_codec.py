@@ -110,10 +110,10 @@ class TestNodeRules:
         assert check_llrs(1.0, 2.0) == check_llrs(np.array([1.0]), np.array([2.0]))[0]
 
     def test_check_sentinels(self):
-        a = np.array([INF, INF, 0.0, INF, -INF, 5.0])
-        b = np.array([-INF, INF, INF, 3.0, 3.0, 0.0])
+        a = np.array([INF, INF, 0.0, INF, -INF, 5.0, INF, 0.3, -INF])
+        b = np.array([-INF, INF, INF, 3.0, 3.0, 0.0, 0.5, -INF, 5e-324])
         out = check_llrs(a, b)
-        assert np.array_equal(out, [-INF, INF, 0.0, 3.0, -3.0, 0.0])
+        assert np.array_equal(out, [-INF, INF, 0.0, 3.0, -3.0, 0.0, 0.5, -0.3, -5e-324])
 
     def test_var_sentinels(self):
         a = np.array([INF, INF, -INF, 2.0])
