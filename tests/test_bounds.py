@@ -1,8 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from polarq import bounds
 from polarq.channels import BEC, BSC, TripleDensity, triple_stats
 from polarq.bounds import (
     BoundsSeries,
@@ -69,17 +73,20 @@ class TestBoundsSeries:
         assert np.all(np.diff(series.upper) <= 1e-12)
         assert np.all(series.lower <= series.upper + 1e-12)
 
-    def test_matches_path_enumeration(self):
-        from polarq.channels import _mutual_info_arrays
+    def test_matches_path_enumeration(self, monkeypatch):
+        # blocks of 2 and 4 states take the depth-first split from level 1
+        # and 2; each path enumeration is checked against every block size
         for n in (4, 8, 12):
-            series = bounds_series(BSC11, n)
             fs, mis = [], []
             for path in itertools.product((0, 1), repeat=n):
                 d = evolve_triple(BSC11, path)
                 fs.append(lower_functional(d))
                 mis.append(triple_stats(d)[0])
-            assert series.lower[n] == pytest.approx(np.mean(fs), abs=1e-10)
-            assert series.upper[n] == pytest.approx(np.mean(mis), abs=1e-10)
+            for block in (2, 4, bounds._BLOCK):
+                monkeypatch.setattr(bounds, "_BLOCK", block)
+                series = bounds_series(BSC11, n)
+                assert series.lower[n] == pytest.approx(np.mean(fs), abs=1e-10)
+                assert series.upper[n] == pytest.approx(np.mean(mis), abs=1e-10)
 
     def test_ceiling_enforced(self):
         with pytest.raises(ValueError, match="bounds_series_mc"):
@@ -117,6 +124,8 @@ class TestBracketCapacity:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             bracket_capacity(BSC11, 0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            bracket_capacity(BSC11, 0.1, n_ceiling=-1)
 
 
 class TestMonteCarlo:
@@ -252,3 +261,49 @@ class TestCurve:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             curve("laplace", 5, 8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            curve("bsc", 1, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            universal_lower_bound(0.5, 5, -1)
+        with pytest.raises(ValueError, match="e_grid"):
+            curve("universal", 1, 4, e_grid=0)
+        with pytest.raises(ValueError, match="e_grid"):
+            universal_lower_bound(0.5, 0, 4)
+
+    def test_family_point_memory_is_bounded(self):
+        # depth-first blocks keep the n = 20 walk far below its 2^20 states
+        # (three 8 MiB arrays a level when whole levels are doubled)
+        tracemalloc.start()
+        try:
+            curve("bsc", 1, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def _ordered(raw):
+    p, e, m = np.array(raw) / sum(raw)
+    return (p, e, m) if p >= m else (m, e, p)
+
+
+# single triples (p, e, m) with p >= m
+ordered_triple = st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(
+    lambda t: sum(t) > 0.0).map(_ordered)
+
+
+class TestDegradation:
+    @given(ordered_triple, st.integers(0, 8), st.floats(0.0, 1.0), st.booleans())
+    def test_degraded_start_never_raises_the_clamped_bounds(self, x, n, t, erase):
+        # erase a fraction t of both signed masses, or cross them over with
+        # probability t/2; neither may raise E max(F, 0) or E I at level n
+        p, e, m = x
+        if erase:
+            worse = ((1 - t) * p, e + t * (p + m), (1 - t) * m)
+        else:
+            q = t / 2
+            worse = ((1 - q) * p + q * m, e, (1 - q) * m + q * p)
+        _, clamped, info = bounds._walk_levels(p, e, m, n, n)[n]
+        _, worse_clamped, worse_info = bounds._walk_levels(*worse, n, n)[n]
+        assert worse_clamped <= clamped + 1e-15
+        assert worse_info <= info + 1e-15

@@ -39,14 +39,35 @@ class TestBoundsCommand:
         assert a.read_text() == b.read_text()
 
     def test_parse_error_no_output(self, tmp_path, capsys):
-        out = tmp_path / "bounds.csv"
-        assert run("bounds", "--channel", "bsc:0.8", "--n", "4", "--out", str(out)) == 2
-        assert not out.exists()
-        assert "error" in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        for argv in (("bounds", "--channel", "bsc:0.8", "--n", "4"),
+                     ("curve", "--family", "bsc", "--points", "1", "--n", "-1"),
+                     ("curve", "--family", "universal", "--points", "1", "--n", "4",
+                      "--e-grid", "0")):
+            assert run(*argv, "--out", str(out)) == 2
+            assert not out.exists()
+            assert "polarq: error" in capsys.readouterr().err
 
     def test_ceiling_error(self, tmp_path):
         out = tmp_path / "bounds.csv"
         assert run("bounds", "--channel", "bsc:0.11", "--n", "30", "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_ceiling_checked_before_bracketing(self, tmp_path, capsys, monkeypatch):
+        from polarq import bounds
+        calls = []
+        double_level = bounds._double_level
+
+        def counted(*args):
+            calls.append(1)
+            return double_level(*args)
+
+        monkeypatch.setattr(bounds, "_double_level", counted)
+        out = tmp_path / "bounds.csv"
+        assert run("bounds", "--channel", "bsc:0.11", "--n", "23", "--tol", "1e-12",
+                   "--out", str(out)) == 2
+        assert "enumeration ceiling" in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     def test_tol_truncates_series(self, tmp_path):
