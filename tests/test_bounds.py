@@ -74,8 +74,8 @@ class TestBoundsSeries:
         assert np.all(series.lower <= series.upper + 1e-12)
 
     def test_matches_path_enumeration(self, monkeypatch):
-        # blocks of 2 and 4 states take the depth-first split from level 1
-        # and 2; each path enumeration is checked against every block size
+        # with blocks of 2 and 4 states the depth-first split starts at
+        # levels 2 and 3; each enumeration is checked at every block size
         for n in (4, 8, 12):
             fs, mis = [], []
             for path in itertools.product((0, 1), repeat=n):
