@@ -1,16 +1,21 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polarq import density_evolution
 from polarq.channels import BEC, BSC, LlrDensity, TripleDensity, _error_rate_arrays
 from polarq.codec import check_llrs, index_to_path
 from polarq.density_evolution import (
     ResourceCeilingError,
     SynthesizedFamily,
+    _check_index_table,
+    _de_check_vec,
+    _de_var_vec,
     _double_level,
     bit_error_prob,
     choose_info_set,
@@ -24,7 +29,7 @@ from polarq.density_evolution import (
     triple_minus,
     triple_plus,
 )
-from polarq.quantizer import QuantizerSpec, levels, quantize, quantize_density
+from polarq.quantizer import QuantizerSpec, levels, quantize, quantize_density, quantize_index
 
 INF = math.inf
 
@@ -213,6 +218,82 @@ class TestFiniteAlphabetDe:
         bad = LlrDensity([-0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             de_var(bad, bad, self.spec)
+
+
+def _spec_with(n_levels, m_sat=8.0):
+    return QuantizerSpec(delta=2.0 * m_sat / (n_levels - 1), m_sat=m_sat)
+
+
+def _random_rows(rng, count, n_levels):
+    """Random nonnegative rows, about a fifth of their entries exactly zero."""
+    rows = rng.random((count, n_levels))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    return rows
+
+
+# |Q| = 3..65 and 2001 at M = 8, delta = 0.01 at M = 10, and the specs the
+# other tests of this module use
+TABLE_SPECS = ([_spec_with(q) for q in range(3, 66, 2)] + [_spec_with(2001)]
+               + [QuantizerSpec(0.01, 10.0), QuantizerSpec(0.5, 4.0), QuantizerSpec(1.0, 4.0),
+                  QuantizerSpec(4.0, 4.0), QuantizerSpec(1.0, 2.0)])
+
+
+class TestPairKernels:
+    """The batched pair transforms against one row at a time, bit for bit."""
+
+    def test_check_table_equals_full_grid(self):
+        for spec in TABLE_SPECS:
+            grid = levels(spec)
+            a, b = np.meshgrid(grid, grid, indexing="ij")
+            full = quantize_index(spec, check_llrs(a, b))
+            table = _check_index_table(spec)
+            assert table.dtype == np.int32
+            assert np.array_equal(table, full), spec
+
+    # 37 rows, so blocks end mid-array; a block of 101 pairs holds 11 rows
+    # at |Q| = 3, 4 at |Q| = 5 and a single row from |Q| = 9 on
+    @pytest.mark.parametrize("pair_block", [1, 101, density_evolution._PAIR_BLOCK])
+    @pytest.mark.parametrize("n_levels", [3, 5, 17, 65, 129, 513])
+    def test_check_matches_per_row_bincount(self, monkeypatch, pair_block, n_levels):
+        spec = _spec_with(n_levels)
+        rng = np.random.default_rng(n_levels)
+        rows, others = _random_rows(rng, 37, n_levels), _random_rows(rng, 37, n_levels)
+        monkeypatch.setattr(density_evolution, "_PAIR_BLOCK", pair_block)
+        got = _de_check_vec(rows, others, spec)
+        table = _check_index_table(spec).ravel()
+        want = np.array([np.bincount(table, np.outer(r, o).ravel(), minlength=n_levels)
+                         for r, o in zip(rows, others)])
+        assert np.array_equal(got, want)
+
+    # the tails hold k = (|Q| - 1)/2 terms, so from |Q| = 17 on they take
+    # numpy's unrolled summation and from |Q| = 259 on its pairwise recursion
+    @pytest.mark.parametrize("n_levels", [3, 5, 17, 65, 129, 513, 2001])
+    def test_var_matches_per_row_convolution(self, n_levels):
+        spec = _spec_with(n_levels)
+        k = spec.half_levels
+        rng = np.random.default_rng(n_levels)
+        rows, others = _random_rows(rng, 37, n_levels), _random_rows(rng, 37, n_levels)
+        got = _de_var_vec(rows, others, spec)
+        for row, r, o in zip(got, rows, others):
+            conv = np.convolve(r, o)
+            want = conv[k:3 * k + 1]
+            want[0] += conv[:k].sum()
+            want[-1] += conv[3 * k + 1:].sum()
+            assert np.array_equal(row, want)
+
+    def test_check_memory_is_bounded(self):
+        # all 4096 rows at once would hold about 277 MB of products and
+        # indices; the blocks hold under 1 MB of each
+        spec = _spec_with(65)
+        rows = _random_rows(np.random.default_rng(0), 4096, 65)
+        _check_index_table(spec)
+        tracemalloc.start()
+        try:
+            _de_check_vec(rows, rows, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSynthesize:
