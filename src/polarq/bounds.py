@@ -138,21 +138,27 @@ def bounds_series(d0: TripleDensity, n_max: int) -> BoundsSeries:
     return BoundsSeries(lower=means[:, 0], upper=means[:, 2])
 
 
+def _bracketed_series(d0: TripleDensity, tol: float, n_ceiling: int) -> BoundsSeries:
+    """``bounds_series(d0, n_ceiling)`` up to its first level with gap <= ``tol``."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    series = bounds_series(d0, n_ceiling)
+    tight = np.flatnonzero(series.upper - series.lower <= tol)
+    j = int(tight[0]) if tight.size else n_ceiling
+    return BoundsSeries(lower=series.lower[:j + 1], upper=series.upper[:j + 1])
+
+
 def bracket_capacity(d0: TripleDensity, tol: float, n_ceiling: int = ENUMERATION_CEILING
                      ) -> tuple[float, float, int]:
     """Bracket the achievable rate to width ``tol`` if reachable.
 
     Returns (lower, upper, n_used) at the smallest level whose gap is at
     most ``tol``, or the bracket at ``n_ceiling`` when the gap never closes
-    within the ceiling (reported, not an error).  One ``bounds_series`` pass
-    computes every level, after checking ``n_ceiling`` against the ceiling.
+    within the ceiling (reported, not an error).  One walk to ``n_ceiling``
+    computes every level, after ``tol`` and the ceiling are checked.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    series = bounds_series(d0, n_ceiling)
-    tight = np.flatnonzero(series.upper - series.lower <= tol)
-    j = int(tight[0]) if tight.size else n_ceiling
-    return float(series.lower[j]), float(series.upper[j]), j
+    series = _bracketed_series(d0, tol, n_ceiling)
+    return float(series.lower[-1]), float(series.upper[-1]), series.n_max
 
 
 class McBounds(NamedTuple):

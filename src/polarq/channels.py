@@ -111,6 +111,7 @@ def _sign_masses(alphabet, probs):
                  for side in (alphabet > 0.0, alphabet == 0.0, alphabet < 0.0))
 
 
+@dataclass(frozen=True, eq=False)
 class LlrDensity:
     """Finite probability mass function over a symmetric LLR alphabet.
 
@@ -118,11 +119,12 @@ class LlrDensity:
     mass zero are kept so that the mirror of every level is present).
     """
 
-    __slots__ = ("alphabet", "probs")
+    alphabet: np.ndarray
+    probs: np.ndarray
 
-    def __init__(self, alphabet, probs):
-        alphabet = np.asarray(alphabet, dtype=float)
-        probs = np.asarray(probs, dtype=float)
+    def __post_init__(self):
+        alphabet = np.asarray(self.alphabet, dtype=float)
+        probs = np.asarray(self.probs, dtype=float)
         if alphabet.ndim != 1 or alphabet.shape != probs.shape:
             raise ValueError("alphabet and probs must be 1-D and the same length")
         if alphabet.size == 0:
@@ -141,12 +143,6 @@ class LlrDensity:
         probs.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LlrDensity is immutable")
-
-    def __repr__(self):
-        return f"LlrDensity(alphabet={self.alphabet!r}, probs={self.probs!r})"
 
     def mass_at(self, x: float) -> float:
         """Probability mass at level ``x`` (0.0 if x is not a level)."""
@@ -167,15 +163,6 @@ class LlrDensity:
     def is_symmetric(self, tol: float = 0.0) -> bool:
         """Whether the mass function equals its mirror image."""
         return bool(np.all(np.abs(self.probs - self.probs[::-1]) <= tol))
-
-
-def _symmetrized(atoms: dict[float, float]) -> LlrDensity:
-    """Build an LlrDensity from a {level: mass} dict, mirroring the alphabet."""
-    levels = set(atoms)
-    levels |= {-l for l in levels}
-    alphabet = np.array(sorted(levels), dtype=float)
-    probs = np.array([atoms.get(l, 0.0) for l in alphabet], dtype=float)
-    return LlrDensity(alphabet, probs)
 
 
 class ChannelModel(abc.ABC):
@@ -202,8 +189,8 @@ class ChannelModel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def sample_llr(self, rng: np.random.Generator, size: int | None = None):
-        """Draw LLR observations under the all-zero input from ``rng``."""
+    def sample_llr(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        """Draw an array of ``size`` LLR observations under the all-zero input."""
 
     @abc.abstractmethod
     def spec_string(self) -> str:
@@ -228,11 +215,10 @@ class BEC(ChannelModel):
         return TripleDensity(1.0 - self.eps, self.eps, 0.0)
 
     def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
-        return _symmetrized({INF: 1.0 - self.eps, 0.0: self.eps})
+        return LlrDensity([-INF, 0.0, INF], [0.0, self.eps, 1.0 - self.eps])
 
-    def sample_llr(self, rng, size=None):
-        u = rng.random(size)
-        return np.where(u < self.eps, 0.0, INF) if size is not None else (0.0 if u < self.eps else INF)
+    def sample_llr(self, rng, size):
+        return np.where(rng.random(size) < self.eps, 0.0, INF)
 
     def spec_string(self) -> str:
         return f"bec:{_spec_number(self.eps)}"
@@ -264,15 +250,12 @@ class BSC(ChannelModel):
     def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
         l0 = self.llr_magnitude
         if l0 == 0.0:
-            return _symmetrized({0.0: 1.0})
-        return _symmetrized({l0: 1.0 - self.eps, -l0: self.eps})
+            return LlrDensity([0.0], [1.0])
+        return LlrDensity([-l0, l0], [self.eps, 1.0 - self.eps])
 
-    def sample_llr(self, rng, size=None):
+    def sample_llr(self, rng, size):
         l0 = self.llr_magnitude
-        u = rng.random(size)
-        if size is None:
-            return -l0 if u < self.eps else l0
-        return np.where(u < self.eps, -l0, l0)
+        return np.where(rng.random(size) < self.eps, -l0, l0)
 
     def spec_string(self) -> str:
         return f"bsc:{_spec_number(self.eps)}"
@@ -332,7 +315,7 @@ class BAWGN(ChannelModel):
         masses[-1] = 1.0 - cdf[-1]
         return LlrDensity(centers, masses)
 
-    def sample_llr(self, rng, size=None):
+    def sample_llr(self, rng, size):
         y = 1.0 + self.sigma * rng.standard_normal(size)
         return 2.0 * y / self.sigma**2
 
@@ -379,7 +362,7 @@ class DiscreteSymmetric(ChannelModel):
     def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
         return self._density
 
-    def sample_llr(self, rng, size=None):
+    def sample_llr(self, rng, size):
         probs = self.probs / self.probs.sum()
         idx = rng.choice(self.levels.size, size=size, p=probs)
         return self.levels[idx]

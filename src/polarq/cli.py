@@ -96,10 +96,8 @@ def _synthesized_family(channel: ChannelModel, quantizer, n: int,
 def cmd_bounds(args) -> None:
     channel = parse_channel(args.channel)
     d0 = channel.triple()
-    n_max = args.n
-    if args.tol is not None:
-        _, _, n_max = bounds_mod.bracket_capacity(d0, args.tol, n_ceiling=args.n)
-    series = bounds_mod.bounds_series(d0, n_max)
+    series = (bounds_mod.bounds_series(d0, args.n) if args.tol is None
+              else bounds_mod._bracketed_series(d0, args.tol, args.n))
     _write_text(args.out, "\n".join(series.csv_rows()) + "\n")
 
 
@@ -134,12 +132,9 @@ def cmd_simulate(args) -> None:
                                  "refusing to append to it")
     code, _ = read_code_file(args.code)
     channel = parse_channel(args.channel)
-    if args.decoder == "quantized":
-        if not args.quantizer:
-            raise ValueError("--decoder quantized requires --quantizer")
-        decoder = parse_quantizer(args.quantizer)
-    else:
-        decoder = args.decoder
+    if (args.decoder == "quantized") != bool(args.quantizer):
+        raise ValueError("--decoder quantized requires --quantizer, and no other decoder takes one")
+    decoder = parse_quantizer(args.quantizer) if args.quantizer else args.decoder
     report = simulate_block_error(code, channel, decoder, args.trials, args.seed,
                                   threads=args.threads)
     row = report.csv_row(channel, code)

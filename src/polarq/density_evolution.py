@@ -32,11 +32,12 @@ from .quantizer import QuantizerSpec, levels, quantize_index
 
 
 class ResourceCeilingError(RuntimeError):
-    """Requested synthesis exceeds the configured work budget."""
+    """Requested synthesis exceeds the fixed work budget."""
 
 
 # most input pairs one check-step bincount takes at once (at least one row)
 _PAIR_BLOCK = 1 << 16
+_OP_BUDGET = 1e12  # largest |Q|^2 N log N that ``synthesize`` accepts
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +280,22 @@ def synthesize_triples(d0: TripleDensity, n: int) -> SynthesizedFamily:
     return SynthesizedFamily(n=n, kind="triple", data=_index_order(np.stack([p, e, m], axis=1)))
 
 
-def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec, *,
-               op_budget: float = 1e12) -> SynthesizedFamily:
+def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec) -> SynthesizedFamily:
     """Finite-alphabet density evolution to all N tree channels.
 
     ``d0`` must already be supported on the alphabet of ``spec`` (quantize it
     first).  The call raises before any work if |Q|^2 N log N (log N at
-    least 1) exceeds ``op_budget``; the pair enumerations themselves total
+    least 1) exceeds ``_OP_BUDGET``; the pair enumerations themselves total
     about 2 |Q|^2 N.  Each level's rows are divided by their sums, so that
     rounding cannot accumulate over the levels into a mass defect.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     cost = float(spec.n_levels) ** 2 * (1 << n) * max(n, 1)
-    if cost > op_budget:
+    if cost > _OP_BUDGET:
         raise ResourceCeilingError(
-            f"|Q|^2 N log N = {cost:.3g} exceeds the budget {op_budget:.3g}; "
-            "use a coarser quantizer, a smaller n, or raise op_budget")
+            f"|Q|^2 N log N = {cost:.3g} exceeds the budget {_OP_BUDGET:.3g}; "
+            "use a coarser quantizer or a smaller n")
     rows = _density_vector(d0, spec)[None, :]
     for _ in range(n):
         rows = np.concatenate([_de_check_vec(rows, rows, spec), _de_var_vec(rows, rows, spec)])

@@ -56,6 +56,7 @@ class QuantizerSpec:
         return f"q:delta={_spec_number(self.delta)},M={_spec_number(self.m_sat)}"
 
 
+@dataclass(frozen=True)
 class SignQuantizer:
     """Marker for the three-level {-inf, 0, +inf} quantizer."""
 
@@ -63,15 +64,6 @@ class SignQuantizer:
 
     def spec_string(self) -> str:
         return "q:sign"
-
-    def __repr__(self):
-        return "SignQuantizer()"
-
-    def __eq__(self, other):
-        return isinstance(other, SignQuantizer)
-
-    def __hash__(self):
-        return hash(SignQuantizer)
 
 
 SIGN = SignQuantizer()
@@ -98,10 +90,7 @@ def quantize_index(spec: QuantizerSpec, x) -> np.ndarray:
 def quantize(spec: QuantizerSpec, x):
     """Quantize ``x`` onto the alphabet of ``spec``."""
     idx = quantize_index(spec, x)
-    out = (idx - spec.half_levels) * spec.delta
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return (idx - spec.half_levels) * spec.delta
 
 
 def sign_quantize(x):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -178,8 +179,48 @@ class TestLlrDensity:
         with pytest.raises(ValueError):
             LlrDensity([1.0, -1.0], [0.5, 0.5])  # not increasing
 
+    def test_value_type(self):
+        d = LlrDensity([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+        same = LlrDensity(alphabet=[-1.0, 0.0, 1.0], probs=[0.25, 0.5, 0.25])
+        assert np.array_equal(d.alphabet, same.alphabet)
+        assert np.array_equal(d.probs, same.probs)
+        assert repr(d) == f"LlrDensity(alphabet={d.alphabet!r}, probs={d.probs!r})"
+        # equality is identity, as for the arrays it holds
+        assert d == d and d != same and len({d, same}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.probs = same.probs
+        with pytest.raises(AttributeError):
+            d.extra = 1
+        with pytest.raises(ValueError):
+            d.probs[0] = 0.0
+        assert not d.alphabet.flags.writeable
+
+    def test_clamps_rounding_below_zero(self):
+        d = LlrDensity([-1.0, 0.0, 1.0], [-1e-16, 0.5, 0.5 + 1e-16])
+        assert d.probs[0] == 0.0
+
+    def test_bec_and_bsc_laws_are_the_mirrored_arrays(self):
+        for eps in (0.0, 0.3, 1.0):
+            d = BEC(eps).llr_density()
+            assert d.alphabet.tolist() == [-INF, 0.0, INF]
+            assert d.probs.tolist() == [0.0, eps, 1.0 - eps]
+        l0 = math.log(0.89 / 0.11)
+        for eps, alphabet, probs in ((0.11, [-l0, l0], [0.11, 0.89]),
+                                     (0.0, [-INF, INF], [0.0, 1.0]),
+                                     (0.5, [0.0], [1.0])):
+            d = BSC(eps).llr_density()
+            assert d.alphabet.tolist() == alphabet
+            assert d.probs.tolist() == probs
+
 
 class TestSampleLlr:
+    def test_size_is_required(self):
+        rng = np.random.default_rng(0)
+        for ch in (BEC(0.3), BSC(0.11), BAWGN(1.0), channel_from_triple(0.8, 0.1, 0.1)):
+            with pytest.raises(TypeError):
+                ch.sample_llr(rng)
+            assert ch.sample_llr(rng, size=(2, 3)).shape == (2, 3)
+
     def test_noiseless_bsc(self):
         rng = np.random.default_rng(0)
         x = BSC(0.0).sample_llr(rng, size=100)

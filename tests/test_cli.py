@@ -76,6 +76,51 @@ class TestBoundsCommand:
                    "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 2  # header + level 0
 
+    def test_tol_walks_the_levels_once(self, tmp_path, monkeypatch):
+        from polarq import bounds
+        states = []
+        double_level = bounds._double_level
+
+        def counted(p, e, m):
+            states.append(p.size)
+            return double_level(p, e, m)
+
+        monkeypatch.setattr(bounds, "_double_level", counted)
+        doubled = []
+        for tol in (None, "0.01"):
+            out = tmp_path / f"bounds_{tol}.csv"
+            extra = () if tol is None else ("--tol", tol)
+            assert run("bounds", "--channel", "bsc:0.11", "--n", "12", *extra,
+                       "--out", str(out)) == 0
+            doubled.append(sum(states))
+            states.clear()
+        assert doubled == [(1 << 12) - 1] * 2
+
+    def test_tol_series_is_a_prefix_of_the_full_series(self, tmp_path):
+        from polarq.bounds import bounds_series
+        from polarq.channels import parse_channel
+        series = bounds_series(parse_channel("bsc:0.11").triple(), 12)
+        gaps = series.upper - series.lower
+        tol = float(gaps[8])
+        assert np.all(gaps[:8] > tol)
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        assert run("bounds", "--channel", "bsc:0.11", "--n", "12", "--out", str(full)) == 0
+        assert run("bounds", "--channel", "bsc:0.11", "--n", "12", "--tol", repr(tol),
+                   "--out", str(cut)) == 0
+        assert cut.read_text().splitlines() == full.read_text().splitlines()[:10]
+
+    def test_nonpositive_tol_rejected_before_doubling(self, tmp_path, capsys, monkeypatch):
+        from polarq import bounds
+        calls = []
+        monkeypatch.setattr(bounds, "_double_level", lambda *args: calls.append(1))
+        out = tmp_path / "bounds.csv"
+        for tol in ("0", "-0.1"):
+            assert run("bounds", "--channel", "bsc:0.11", "--n", "12", "--tol", tol,
+                       "--out", str(out)) == 2
+            assert "tol must be positive" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
 
 class TestCurveCommand:
     def test_bec_identity(self, tmp_path):
@@ -203,6 +248,16 @@ class TestSimulateCommand:
         assert run("simulate", "--code", str(code), "--channel", "bec:0.5",
                    "--decoder", "quantized", "--trials", "10", "--seed", "0",
                    "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("decoder", ["exact", "erasure"])
+    def test_quantizer_only_with_quantized_decoder(self, tmp_path, capsys, decoder):
+        code = self._construct(tmp_path)
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--code", str(code), "--channel", "bec:0.5",
+                   "--decoder", decoder, "--quantizer", "q:delta=1,M=8",
+                   "--trials", "10", "--seed", "0", "--out", str(out)) == 2
+        assert "polarq: error" in capsys.readouterr().err
         assert not out.exists()
 
 

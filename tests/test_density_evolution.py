@@ -386,6 +386,12 @@ class TestSynthesize:
         with pytest.raises(ResourceCeilingError):
             synthesize(d0, 20, spec)
 
+    def test_budget_is_not_a_parameter(self):
+        spec = QuantizerSpec(delta=1.0, m_sat=1.0)
+        d0 = quantize_density(BSC(0.11).llr_density(), spec)
+        with pytest.raises(TypeError):
+            synthesize(d0, 1, spec, op_budget=1.0)
+
     def test_csv_rows(self):
         fam = synthesize_triples(BEC(0.5).triple(), 1)
         rows = list(fam.csv_rows())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,12 @@ class TestQuantize:
         assert np.all(np.isin(q, levels(self.spec)))
         assert np.all(np.abs(q) <= self.spec.m_sat)
 
+    def test_scalar_in_float_out(self):
+        for x in (0.6, np.float64(-3.0), np.array(1.4)):
+            out = quantize(self.spec, x)
+            assert isinstance(out, float) and np.ndim(out) == 0
+        assert quantize(self.spec, 0.6) == 1.0
+
 
 class TestSignQuantize:
     def test_three_way(self):
@@ -122,6 +129,15 @@ class TestParse:
         assert parse_quantizer(spec.spec_string()) == spec
         assert parse_quantizer("q:sign") is SIGN
         assert isinstance(parse_quantizer("q:SIGN"), SignQuantizer)
+
+    def test_sign_quantizer_is_a_value(self):
+        assert repr(SIGN) == "SignQuantizer()"
+        assert SignQuantizer() == SIGN and hash(SignQuantizer()) == hash(SIGN)
+        assert SIGN != QuantizerSpec(delta=1.0, m_sat=1.0) and SIGN != "q:sign"
+        assert {SIGN, SignQuantizer()} == {SIGN}
+        assert SIGN.n_levels == 3 and SIGN.spec_string() == "q:sign"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SIGN.n_levels = 5
 
     @given(st.floats(1e-6, 1e6), st.integers(1, 10**6))
     def test_round_trip_exact(self, delta, half_levels):

@@ -1,6 +1,7 @@
 """Static checks on the package source, for want of an installed linter."""
 
 import ast
+import types
 from pathlib import Path
 
 import polarq
@@ -37,3 +38,22 @@ def test_unused_import_is_flagged(tmp_path):
     source.write_text("from __future__ import annotations\nimport os.path\n"
                       "from math import inf, pi as PI, tau as tau, e as E\n\nx = PI\n")
     assert unused_imports(source) == ["mod.py:2 os", "mod.py:3 inf", "mod.py:3 E"]
+
+
+def load_tracing():
+    """``perfbench/tracing.py`` as a module, executed from its source without caching it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these names; one that a refactor drops
+    # turns its per-layer metric into a missing one
+    tracing = load_tracing()
+    assert len(tracing.TARGETS) >= 20
+    missing = [f"{module}:{attribute}" for _, module, attribute, _ in tracing.TARGETS
+               if tracing._resolve(module, attribute) is None]
+    assert missing == []
+    assert tracing._resolve("polarq.channels", "BSC.no_such_method") is None
