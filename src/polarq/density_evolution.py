@@ -21,14 +21,13 @@ summation batched numpy does not reproduce, and batches only the tail folds.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import LlrDensity, TripleDensity, _error_rate_arrays, _sign_masses
-from .codec import check_llrs
-from .quantizer import QuantizerSpec, levels, quantize_index
+from .codec import _check_index_table
+from .quantizer import QuantizerSpec, levels
 
 
 class ResourceCeilingError(RuntimeError):
@@ -128,30 +127,6 @@ def _density_vector(d: LlrDensity, spec: QuantizerSpec) -> np.ndarray:
         raise ValueError("density has mass outside the quantizer alphabet")
     np.add.at(vec, idx[ok], d.probs[ok])
     return vec
-
-
-@functools.lru_cache(maxsize=8)
-def _check_index_table(spec: QuantizerSpec) -> np.ndarray:
-    """Quantized-level index of the check combine for every level pair.
-
-    Built on the quadrant of nonnegative levels and signed out from it: the
-    combine's magnitude depends only on the input magnitudes, its sign is
-    the product of the input signs, the levels negate exactly about the
-    middle index k and ``quantize_index`` is antisymmetric about it, so
-    table[i, j] = k + s_i s_j T[|i - k|, |j - k|] with s_i = sign(i - k)
-    and T the table on the quadrant, less k.  That is a quarter of the
-    combine's work and memory.
-    """
-    k = spec.half_levels
-    mags = levels(spec)[k:]
-    quadrant = quantize_index(spec, check_llrs(mags[:, None], mags[None, :])).astype(np.int32)
-    quadrant -= k
-    offset = np.arange(-k, k + 1)
-    table = quadrant[np.ix_(np.abs(offset), np.abs(offset))]
-    sign = np.sign(offset).astype(np.int8)
-    table *= np.outer(sign, sign)
-    table += k
-    return table
 
 
 def de_var(d1: LlrDensity, d2: LlrDensity, spec: QuantizerSpec) -> LlrDensity:

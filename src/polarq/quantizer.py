@@ -82,7 +82,8 @@ def quantize_index(spec: QuantizerSpec, x) -> np.ndarray:
     map antisymmetric; |x| beyond M (including the infinities) saturates.
     """
     x = np.asarray(x, dtype=float)
-    k = np.floor(np.abs(x) / spec.delta + 0.5)
+    with np.errstate(over="ignore"):  # |x|/delta past the float range saturates too
+        k = np.floor(np.abs(x) / spec.delta + 0.5)
     k = np.minimum(k, spec.half_levels)
     return (np.sign(x) * k).astype(np.int64) + spec.half_levels
 

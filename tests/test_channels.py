@@ -279,6 +279,22 @@ class TestDiscreteAndParsing:
         with pytest.raises(InvalidChannelError):
             DiscreteSymmetric([-INF, 0.0, INF], [0.1, 0.4, 0.5])
 
+    def test_discrete_law_must_be_an_llr_law(self):
+        # P(-l) = e^(-l) P(l) up to 1e-9 * max(1, l) in log space
+        l0 = 2.0
+        for slip, valid in ((1e-10, True), (-1e-10, True), (1e-8, False), (-1e-8, False)):
+            m = 1.0 / (1.0 + math.exp(l0 + slip))  # log((1 - m) / m) = l0 + slip
+            if valid:
+                DiscreteSymmetric([-l0, l0], [m, 1.0 - m])
+            else:
+                with pytest.raises(InvalidChannelError):
+                    DiscreteSymmetric([-l0, l0], [m, 1.0 - m])
+        with pytest.raises(InvalidChannelError):
+            DiscreteSymmetric([-1.0, 1.0], [0.0, 1.0])
+        # a mirror mass below the smallest normal double counts as zero
+        DiscreteSymmetric([-800.0, 0.0, 800.0], [0.0, 0.5, 0.5])
+        DiscreteSymmetric([-1.0, 0.0, 1.0], [1e-310, 1.0, 0.0])
+
     def test_triple_channel_round_trip(self):
         ch = channel_from_triple(0.89, 0.0, 0.11)
         t = ch.triple()
@@ -333,7 +349,8 @@ class TestDiscreteAndParsing:
 
     def test_parse_errors(self):
         for bad in ("bec", "foo:1", "bsc:0.7", "triple:0.5,0.5", "bec:abc",
-                    "discrete:0,1;", "discrete:-1,0.5;1", "discrete:-1,0.2;1,0.2"):
+                    "discrete:0,1;", "discrete:-1,0.5;1", "discrete:-1,0.2;1,0.2",
+                    "discrete:-1,0.5;1,0.5"):
             with pytest.raises(InvalidChannelError):
                 parse_channel(bad)
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from polarq import codec
 from polarq.channels import BEC, BSC
 from polarq.codec import (
     PolarCode,
@@ -284,6 +285,38 @@ def decoder_batches(draw, elements):
     return words, PolarCode(n=n, info_set=frozenset(info)), ties
 
 
+def float_quantized_sc(words, code, ties, spec, genie):
+    """SC over float levels with every node output quantized, as (u_hat, roots, errors).
+
+    The reference for ``_sc_batch(spec=...)``, which runs on level indices:
+    the float node maps ``quantize(spec, check_llrs)`` and
+    ``quantize(spec, var_llrs)`` must give the same bytes.
+    """
+    info = code.info_mask()
+    u_hat = np.zeros(words.shape, dtype=np.uint8)
+    roots = np.empty(words.shape)
+    errors = np.zeros(words.shape, dtype=bool) if genie else None
+
+    def descend(block, base):
+        if block.shape[1] == 1:
+            stat = block[:, 0]
+            roots[:, base] = stat
+            hard = (stat < 0) | ((stat == 0) & (ties[:, base] == 1))
+            if genie:
+                errors[:, base] = hard
+            elif info[base]:
+                u_hat[:, base] = hard
+            return u_hat[:, base:base + 1]
+        half = block.shape[1] // 2
+        a, b = block[:, :half], block[:, half:]
+        x_left = descend(quantize(spec, check_llrs(a, b)), base)
+        x_right = descend(quantize(spec, var_llrs(a, b, x_left.astype(bool))), base + half)
+        return np.concatenate([x_left ^ x_right, x_right], axis=1)
+
+    descend(quantize(spec, words), 0)
+    return u_hat, roots, errors
+
+
 class TestDecoderAlphabets:
     @given(decoder_batches(st.sampled_from([-INF, 0.0, INF])), st.booleans())
     def test_erasure_is_exact_sc_on_bec_symbols(self, batch, genie):
@@ -305,6 +338,21 @@ class TestDecoderAlphabets:
         assert np.array_equal(raw[0], pre[0])
         assert raw[1].dtype == pre[1].dtype and raw[1].tobytes() == pre[1].tobytes()
         assert (raw[2] is None and pre[2] is None) or np.array_equal(raw[2], pre[2])
+
+    # a cap of 0 levels sends every check node down the path without a table
+    @pytest.mark.parametrize("cap", [codec._CHECK_TABLE_MAX_LEVELS, 0], ids=["table", "no-table"])
+    @given(decoder_batches(st.floats(allow_nan=False)), st.booleans(),
+           st.floats(0.05, 4.0), st.integers(1, 8))
+    def test_index_decoder_matches_float_reference(self, cap, batch, genie, delta, half_levels):
+        words, code, ties = batch
+        spec = QuantizerSpec(delta=delta, m_sat=half_levels * delta)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_CHECK_TABLE_MAX_LEVELS", cap)
+            got = _sc_batch(words, code, ties, spec=spec, genie=genie)
+        want = float_quantized_sc(words, code, ties, spec, genie)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+        assert (got[2] is None and want[2] is None) or np.array_equal(got[2], want[2])
 
 
 class TestPolarCode:

@@ -5,14 +5,15 @@ import pytest
 
 from polarq.channels import BEC, BSC
 from polarq.codec import PolarCode
-from polarq.density_evolution import choose_info_set, synthesize_triples
-from polarq.quantizer import QuantizerSpec
+from polarq.density_evolution import choose_info_set, synthesize, synthesize_triples
+from polarq.quantizer import QuantizerSpec, quantize_density
 from polarq.sim import (
     TrialReport,
     genie_bit_errors,
     simulate_block_error,
     union_bound,
 )
+from test_acceptance import _binomial_rejections
 
 
 def make_code(n, k, channel):
@@ -98,7 +99,7 @@ class TestGenie:
         z = np.abs(rep.per_index_rates - pred) / np.maximum(sig, 1e-12)
         assert z.max() < 4.0
 
-    def test_exact_decoder_genie_on_bawgn(self):
+    def test_erasure_decoder_genie_on_bawgn(self):
         from polarq.channels import BAWGN
         n, trials = 4, 20000
         ch = BAWGN(1.2)
@@ -108,6 +109,30 @@ class TestGenie:
         sig = np.sqrt(pred * (1 - pred) / trials)
         z = np.abs(rep.per_index_rates - pred) / np.maximum(sig, 1e-12)
         assert z.max() < 4.0
+
+    # |Q| = 17 and 9 (M = 8); trials are independent, so each index's genie
+    # error count is exactly Binomial(trials, DE error probability) when the
+    # decoder and DE compute the same quantized node maps on the exact BSC law
+    @pytest.mark.parametrize("delta", [1.0, 2.0])
+    def test_quantized_decoder_genie_matches_quantized_de(self, delta):
+        n, trials, seed, level = 8, 100000, 5, 1e-3
+        spec = QuantizerSpec(delta, 8.0)
+        code = PolarCode(n=n, info_set=frozenset())
+        rep = genie_bit_errors(code, BSC(0.11), spec, trials, seed, threads=2)
+
+        def prediction(eps):
+            law = quantize_density(BSC(eps).llr_density(), spec)
+            return synthesize(law, n, spec).error_probs()
+
+        rejected, min_adj = _binomial_rejections(rep.per_index_errors, trials,
+                                                 prediction(0.11), level)
+        # power: the same counts must reject the prediction for a nearby channel
+        rejected_wrong, _ = _binomial_rejections(rep.per_index_errors, trials,
+                                                 prediction(0.112), level)
+        print(f"|Q| = {spec.n_levels}: {len(rejected)} indices rejected (min adjusted p "
+              f"{min_adj:.3g}); BSC(0.112) prediction rejected at {len(rejected_wrong)}")
+        assert not rejected, f"indices {rejected} reject the DE prediction (min adjusted p {min_adj:.3g})"
+        assert rejected_wrong, "the test cannot tell BSC(0.11) counts from the BSC(0.112) prediction"
 
 
 class TestUnionBound:
