@@ -18,6 +18,19 @@ rather than O(2^n).  Each level's sums of F, max(F, 0) and I are added
 block by block in that order; the means therefore match a whole-level
 average only to the last bits, which can move when the block size does.
 
+Walks from different starting triples are independent, so ``_walk_all``
+runs them on a thread pool of ``_WORKERS`` threads (the cores this process
+may use, capped at the number of walks): the ``e_grid`` walks of a
+universal point, and the capacity points of a ``bec``, ``bsc`` or
+``bawgn`` curve.  numpy releases the GIL inside its array operations, but
+only once a walk holds more than one block (2^n > ``_BLOCK``) do those
+operations outweigh the per-operation Python work that holds it; below
+that the walks run serially.  Each worker holds one walk's block stack,
+so peak memory is O(workers * n * block).  Each walk computes exactly
+what it computes alone, and its row is collected in input order before
+the minimum or the rows are taken, so no output depends on the worker
+count.
+
 ``curve`` emits the tighter lower bound E max(F(D_n), 0), clamped per state.
 It is sound because the rate R(D) of any state is the exact mean of its two
 children's rates, and R(D) >= F(D) (the bound above with D as root) and
@@ -28,6 +41,8 @@ R(D) >= 0 hold for every state, so R(D_0) = E R(D_n) >= E max(F(D_n), 0).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,6 +63,8 @@ from .density_evolution import _double_level
 ENUMERATION_CEILING = 22
 
 _BLOCK = 1 << 14  # states doubled at once past the breadth-first levels; bounds peak memory
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # threads for independent walks
 
 CURVE_FAMILIES = ("bec", "bsc", "bawgn", "universal")
 
@@ -126,6 +143,21 @@ def _walk_levels(p0, e0, m0, n: int, first: int) -> np.ndarray:
     walk(0, *(np.full((1, 1), x, dtype=float) for x in (p0, e0, m0)))
     sums[:first] = np.nan
     return sums / 2.0 ** np.arange(n + 1)[:, None]
+
+
+def _walk_all(starts, n: int) -> list[np.ndarray]:
+    """Level-n rows of ``_walk_levels`` for each (p, e, m) in ``starts``, in order.
+
+    The walks share a thread pool when each holds more than one block.
+    """
+    def work(start):
+        return _walk_levels(*start, n, n)[n]
+
+    workers = min(_WORKERS, len(starts))
+    if workers > 1 and 2**n > _BLOCK:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, starts))
+    return [work(start) for start in starts]
 
 
 def bounds_series(d0: TripleDensity, n_max: int) -> BoundsSeries:
@@ -208,8 +240,7 @@ def _constraint_family(capacity: float, e_grid: int) -> tuple[np.ndarray, ...]:
 
 def _family_minima(capacity: float, e_grid: int, n: int) -> np.ndarray:
     """Column minima of the level-n means over the pinned-error-rate family."""
-    ps, es, ms = _constraint_family(capacity, e_grid)
-    return np.min([_walk_levels(p, e, m, n, n)[n] for p, e, m in zip(ps, es, ms)], axis=0)
+    return np.min(_walk_all(list(zip(*_constraint_family(capacity, e_grid))), n), axis=0)
 
 
 def _universal_bracket(capacity: float, e_grid: int, n: int) -> tuple[float, float]:
@@ -263,6 +294,9 @@ def _bawgn_for_capacity(target: float) -> BAWGN:
 def _capacity_grid(points: int, cap_min: float, cap_max: float) -> np.ndarray:
     if points < 1:
         raise ValueError("points must be at least 1")
+    if not (0.0 <= cap_min and cap_max <= 1.0):
+        raise ValueError(f"capacities must lie in [0, 1], got cap_min={cap_min}, "
+                         f"cap_max={cap_max}")
     if points == 1:
         return np.array([cap_max])
     return np.linspace(cap_min, cap_max, points)
@@ -287,22 +321,24 @@ def curve(family: str, points: int, n: int, *, cap_min: float = 0.01,
     triples of the pinned-error-rate family; the upper one bounds the
     family's infimum from above, but the lower one is not a proven lower
     bound on it, since members between grid points can sit lower.
+
+    The family parameters are solved serially.  When 2^n > ``_BLOCK``, the
+    walks then run concurrently on ``_WORKERS`` threads: a family curve's
+    capacity points, or a universal point's ``e_grid`` triples (points one
+    after another).  Below one block each walk is mostly per-operation
+    Python work, which holds the GIL, so the walks run serially.  Peak
+    memory is O(workers * n * ``_BLOCK``).  Every walk's row is computed as
+    it would be alone and collected in input order, so the rows are the
+    same for every worker count.
     """
     if family not in CURVE_FAMILIES:
         raise ValueError(f"family must be one of {CURVE_FAMILIES}, got {family!r}")
-    rows = []
-    for cap in _capacity_grid(points, cap_min, cap_max):
-        cap = float(cap)
-        if family == "universal":
-            means = _family_minima(cap, e_grid, n)
-        else:
-            if family == "bec":
-                ch = BEC(1.0 - cap)
-            elif family == "bsc":
-                ch = _bsc_for_capacity(cap)
-            else:
-                ch = _bawgn_for_capacity(cap)
-            d0 = ch.triple()
-            means = _walk_levels(d0.p, d0.e, d0.m, n, n)[n]
-        rows.append((cap, float(means[1]), float(means[2])))
-    return rows
+    caps = [float(cap) for cap in _capacity_grid(points, cap_min, cap_max)]
+    if family == "universal":
+        means = [_family_minima(cap, e_grid, n) for cap in caps]
+    else:
+        solve = {"bec": lambda cap: BEC(1.0 - cap), "bsc": _bsc_for_capacity,
+                 "bawgn": _bawgn_for_capacity}[family]
+        triples = [solve(cap).triple() for cap in caps]
+        means = _walk_all([(d0.p, d0.e, d0.m) for d0 in triples], n)
+    return [(cap, float(row[1]), float(row[2])) for cap, row in zip(caps, means)]

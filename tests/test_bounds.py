@@ -269,17 +269,47 @@ class TestCurve:
             curve("universal", 1, 4, e_grid=0)
         with pytest.raises(ValueError, match="e_grid"):
             universal_lower_bound(0.5, 0, 4)
+        for family, points, limits in (("universal", 1, {"cap_max": 1.5}),
+                                       ("universal", 3, {"cap_min": -0.2}),
+                                       ("bsc", 1, {"cap_max": 1.5})):
+            with pytest.raises(ValueError, match="capacities"):
+                curve(family, points, 6, **limits)
 
-    def test_family_point_memory_is_bounded(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # n = 15 is one level past the block, so the walks share the pool
+        n = 15
+        assert 2**n > bounds._BLOCK
+
+        def outputs():
+            rows = [curve(family, 3, n) for family in ("bsc", "bawgn", "universal")]
+            return np.array(rows).tobytes(), universal_lower_bound(0.5, 33, n)
+
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(bounds, "_WORKERS", workers)
+            results.append(outputs())
+            with pytest.raises(ValueError, match="nonnegative"):
+                curve("bsc", 2, -1)
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_family_point_memory_is_bounded(self, monkeypatch):
         # depth-first blocks keep the n = 20 walk far below its 2^20 states
         # (three 8 MiB arrays a level when whole levels are doubled)
         tracemalloc.start()
         try:
             curve("bsc", 1, 20)
             peak = tracemalloc.get_traced_memory()[1]
+            # each pooled walk holds its own block stack
+            workers = 2
+            monkeypatch.setattr(bounds, "_WORKERS", workers)
+            tracemalloc.reset_peak()
+            curve("universal", 1, 20, e_grid=2)
+            pooled_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        assert pooled_peak < workers * 16 * 2**20
 
 
 def _ordered(raw):
