@@ -339,6 +339,5 @@ def curve(family: str, points: int, n: int, *, cap_min: float = 0.01,
     else:
         solve = {"bec": lambda cap: BEC(1.0 - cap), "bsc": _bsc_for_capacity,
                  "bawgn": _bawgn_for_capacity}[family]
-        triples = [solve(cap).triple() for cap in caps]
-        means = _walk_all([(d0.p, d0.e, d0.m) for d0 in triples], n)
+        means = _walk_all([solve(cap).triple().as_array() for cap in caps], n)
     return [(cap, float(row[1]), float(row[2])) for cap, row in zip(caps, means)]
