@@ -181,11 +181,11 @@ class ChannelModel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
+    def llr_density(self) -> LlrDensity:
         """Distribution of L(Y) under the all-zero input.
 
-        ``grid`` and ``span`` only matter for continuous-output channels,
-        which are discretized onto ``grid`` cells covering [-span, span].
+        Exact for finite-output channels.  BAWGN's puts each grid cell's
+        mass at the cell's centre, off by up to 2.3e-3 per level at |Q| = 17.
         """
 
     @abc.abstractmethod
@@ -214,7 +214,7 @@ class BEC(ChannelModel):
     def triple(self) -> TripleDensity:
         return TripleDensity(1.0 - self.eps, self.eps, 0.0)
 
-    def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
+    def llr_density(self) -> LlrDensity:
         return LlrDensity([-INF, 0.0, INF], [0.0, self.eps, 1.0 - self.eps])
 
     def sample_llr(self, rng, size):
@@ -247,7 +247,7 @@ class BSC(ChannelModel):
             return TripleDensity(0.0, 1.0, 0.0)
         return TripleDensity(1.0 - self.eps, 0.0, self.eps)
 
-    def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
+    def llr_density(self) -> LlrDensity:
         l0 = self.llr_magnitude
         if l0 == 0.0:
             return LlrDensity([0.0], [1.0])
@@ -271,6 +271,8 @@ class BAWGN(ChannelModel):
     # trapezoid rule on a fixed grid keeps the capacity reproducible to 1e-6
     _CAP_POINTS = 20001
     _CAP_SPAN_SIGMAS = 12.0
+    LLR_GRID = 4001  # cells of ``llr_density``'s grid over [-LLR_SPAN, LLR_SPAN]
+    LLR_SPAN = 40.0
 
     def __init__(self, sigma: float):
         if not (sigma > 0.0 and math.isfinite(sigma)):
@@ -298,7 +300,7 @@ class BAWGN(ChannelModel):
         m = float(ndtr(-1.0 / self.sigma))
         return TripleDensity(p, max(1.0 - p - m, 0.0), m)
 
-    def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
+    def llr_density(self, *, grid: int = LLR_GRID, span: float = LLR_SPAN) -> LlrDensity:
         if grid < 2:
             raise InvalidGridError(f"need at least 2 grid levels, got {grid}")
         if grid % 2 == 0:
@@ -391,7 +393,7 @@ class DiscreteSymmetric(ChannelModel):
     def triple(self) -> TripleDensity:
         return TripleDensity(*map(float, _sign_masses(self.levels, self.probs)))
 
-    def llr_density(self, grid: int = 2001, span: float = 30.0) -> LlrDensity:
+    def llr_density(self) -> LlrDensity:
         return self._density
 
     def sample_llr(self, rng, size):

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .channels import ChannelModel, parse_channel
+from .channels import BAWGN, ChannelModel, parse_channel
 from .codec import PolarCode
 from .density_evolution import (
     SynthesizedFamily,
@@ -34,8 +34,9 @@ from .sim import TRIAL_CSV_HEADER, simulate_block_error
 
 CODE_FILE_MAGIC = "polarq-code v1"
 
-DEFAULT_GRID = 4001
-DEFAULT_SPAN = 40.0
+# BAWGN's LLR grid, under the names the benchmark's construct check reads
+DEFAULT_GRID = BAWGN.LLR_GRID
+DEFAULT_SPAN = BAWGN.LLR_SPAN
 DEFAULT_M_SAT = 8.0
 
 
@@ -81,11 +82,10 @@ def read_code_file(path: str) -> tuple[PolarCode, dict]:
 # shared construction helpers
 
 
-def _synthesized_family(channel: ChannelModel, quantizer, n: int,
-                        grid: int, span: float) -> SynthesizedFamily:
+def _synthesized_family(channel: ChannelModel, quantizer, n: int) -> SynthesizedFamily:
     if isinstance(quantizer, SignQuantizer):
         return synthesize_triples(channel.triple(), n)
-    d0 = quantize_density(channel.llr_density(grid=grid, span=span), quantizer)
+    d0 = quantize_density(channel.llr_density(), quantizer)
     return synthesize(d0, n, quantizer)
 
 
@@ -116,7 +116,7 @@ def cmd_construct(args) -> None:
     k = round(k_real)
     if abs(k_real - k) > 1e-9:
         raise ValueError(f"rate {args.rate} does not give an integral k at N={size}")
-    family = _synthesized_family(channel, quantizer, args.n, args.grid, args.span)
+    family = _synthesized_family(channel, quantizer, args.n)
     info = choose_info_set(family, k)
     code = PolarCode(n=args.n, info_set=frozenset(int(i) for i in info))
     write_code_file(args.out, code, args.channel, args.quantizer)
@@ -156,11 +156,11 @@ def cmd_sweep_q(args) -> None:
             # the three-level decoder is the sign quantizer (the M = delta
             # limit); the uniform rule at q = 3 would send every moderate
             # LLR to 0
-            family = _synthesized_family(channel, SIGN, args.n, args.grid, args.span)
+            family = _synthesized_family(channel, SIGN, args.n)
             delta_str = "sign"
         else:
             spec = QuantizerSpec(delta=2.0 * args.m_sat / (q - 1), m_sat=args.m_sat)
-            family = _synthesized_family(channel, spec, args.n, args.grid, args.span)
+            family = _synthesized_family(channel, spec, args.n)
             delta_str = _fmt(spec.delta)
         k = rate_for_union_bound(family, args.target_sum)
         rate = k / family.block_length
@@ -202,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantizer", required=True, help="q:sign or q:delta=<d>,M=<M>")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                   help="channel LLR grid cells before quantization")
-    p.add_argument("--span", type=float, default=DEFAULT_SPAN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
@@ -227,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="union-bound budget defining the achievable rate")
     p.add_argument("--m-sat", type=float, default=DEFAULT_M_SAT,
                    help="saturation M; delta = 2M/(q-1)")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p.add_argument("--span", type=float, default=DEFAULT_SPAN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_q)
 

@@ -160,8 +160,8 @@ class TestLlrDensity:
         assert d.mean() == pytest.approx(2.0, abs=1e-3)
 
     def test_alphabet_antisymmetric_and_normalized(self):
-        for ch in (BEC(0.3), BSC(0.2), BAWGN(1.2)):
-            d = ch.llr_density(grid=401, span=25.0)
+        for d in (BEC(0.3).llr_density(), BSC(0.2).llr_density(),
+                  BAWGN(1.2).llr_density(grid=401, span=25.0)):
             assert np.array_equal(d.alphabet, -d.alphabet[::-1])
             assert abs(d.probs.sum() - 1.0) < 1e-10
 

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polarq.channels import BAWGN
 from polarq.cli import build_parser, main, read_code_file, write_code_file
 from polarq.codec import PolarCode
+from polarq.density_evolution import choose_info_set, synthesize
+from polarq.quantizer import QuantizerSpec, quantize_density
 
 
 def run(*argv):
@@ -169,6 +172,21 @@ class TestConstructCommand:
         assert run("construct", "--channel", "bec:0.5", "--quantizer", "q:sign",
                    "--n", "2", "--rate", "0.3", "--out", str(out)) == 2
         assert not out.exists()
+
+    def test_library_and_cli_construct_from_one_bawgn_law(self, tmp_path):
+        # BAWGN at capacity 1/2; a grid other than the CLI's moves indices 0 and 36
+        sigma, spec = 0.9786941246157008, QuantizerSpec(delta=1.0, m_sat=8.0)
+        argv = ["construct", "--channel", f"bawgn:{sigma!r}", "--quantizer", "q:delta=1,M=8",
+                "--n", "8", "--rate", "0.91796875"]
+        out = tmp_path / "code.txt"
+        assert run(*argv, "--out", str(out)) == 0
+        code, _ = read_code_file(str(out))
+        family = synthesize(quantize_density(BAWGN(sigma).llr_density(), spec), 8, spec)
+        assert code.info_set == frozenset(int(i) for i in choose_info_set(family, 235))
+        for flag, value in (("--grid", "4001"), ("--span", "40")):
+            gone = tmp_path / f"{flag[2:]}.txt"
+            assert run(*argv, flag, value, "--out", str(gone)) == 2
+            assert not gone.exists()
 
 
 class TestSimulateCommand:
