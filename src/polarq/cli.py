@@ -73,9 +73,11 @@ def read_code_file(path: str) -> tuple[PolarCode, dict]:
     n = int(meta["n"])
     k = int(meta["k"])
     indices = [int(s) for s in lines[1:] if s.strip()]
-    if len(indices) != k:
-        raise ValueError(f"code file lists {len(indices)} indices, header says {k}")
-    return PolarCode(n=n, info_set=frozenset(indices)), meta
+    info = frozenset(indices)
+    if len(info) != len(indices) or len(info) != k:
+        raise ValueError(f"code file lists {len(indices)} indices ({len(info)} distinct), "
+                         f"header says {k}")
+    return PolarCode(n=n, info_set=info), meta
 
 
 # ---------------------------------------------------------------------------

@@ -89,18 +89,19 @@ def encode(u, n: int | None = None) -> np.ndarray:
     The butterfly recursion applies the 2x2 kernel along every bit axis,
     which is an O(N log N) evaluation of u @ G.
     """
-    x = np.array(u, dtype=np.uint8) & 1
+    x = np.array(u, dtype=np.uint8, order="C") & 1
     size = x.shape[-1]
     if n is None:
         n = int(size).bit_length() - 1
     if size != (1 << n):
         raise ValueError(f"input length {size} is not 2**{n}")
+    # x is a fresh C-contiguous array, so each reshape is a view of it and
+    # the in-place XOR of every block's second half into its first updates x
     half = 1
     while half < size:
-        step = 2 * half
-        for start in range(0, size, step):
-            x[..., start:start + half] ^= x[..., start + half:start + step]
-        half = step
+        pairs = x.reshape(*x.shape[:-1], size // (2 * half), 2, half)
+        pairs[..., 0, :] ^= pairs[..., 1, :]
+        half *= 2
     return x
 
 

@@ -124,9 +124,10 @@ def parse_quantizer(spec: str) -> QuantizerSpec | SignQuantizer:
     fields = {}
     for part in body.split(","):
         key, sep, val = part.partition("=")
-        if not sep:
+        key = key.strip().lower()
+        if not sep or key not in ("delta", "m") or key in fields:
             raise InvalidQuantizerError(f"malformed quantizer spec {spec!r}")
-        fields[key.strip().lower()] = val.strip()
+        fields[key] = val.strip()
     try:
         return QuantizerSpec(delta=float(fields["delta"]), m_sat=float(fields["m"]))
     except KeyError as exc:

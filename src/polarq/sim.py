@@ -115,6 +115,8 @@ def _simulate(code, channel, decoder, trials, seed, genie, threads,
               random_messages=False):
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     label, spec, signs = _normalize_decoder(decoder)
     chunks = [(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK)]
 

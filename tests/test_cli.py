@@ -260,6 +260,15 @@ class TestSimulateCommand:
         assert len(row) == len(header) == 9
         assert row[0] == "q:delta=1,M=8" and row[1] == "bec:0.5"
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        code = self._construct(tmp_path)
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--code", str(code), "--channel", "bec:0.5",
+                   "--decoder", "erasure", "--trials", "10", "--seed", "0",
+                   "--threads", threads, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_quantized_requires_quantizer(self, tmp_path):
         code = self._construct(tmp_path)
         out = tmp_path / "sim.csv"
@@ -322,6 +331,17 @@ class TestCodeFileRoundTrip:
         loaded, meta = read_code_file(str(path))
         assert loaded == code
         assert meta["channel"] == "bsc:0.11"
+
+    def test_rejects_repeated_index(self, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_text("polarq-code v1 n=2 k=2 channel=bsc:0.11 quantizer=q:sign\n1\n1\n")
+        with pytest.raises(ValueError, match="distinct"):
+            read_code_file(str(path))
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--code", str(path), "--channel", "bsc:0.11",
+                   "--decoder", "erasure", "--trials", "10", "--seed", "0",
+                   "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

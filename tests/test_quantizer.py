@@ -145,6 +145,7 @@ class TestParse:
         assert parse_quantizer(spec.spec_string()) == spec
 
     def test_errors(self):
-        for bad in ("delta=1,M=2", "q:delta=1", "q:delta=0.3,M=1", "q:delta=a,M=2"):
+        for bad in ("delta=1,M=2", "q:delta=1", "q:delta=0.3,M=1", "q:delta=a,M=2",
+                    "q:delta=1,M=8,foo=3", "q:delta=1,delta=2,M=8"):
             with pytest.raises(InvalidQuantizerError):
                 parse_quantizer(bad)

@@ -73,6 +73,12 @@ class TestBlockError:
         with pytest.raises(ValueError):
             simulate_block_error(code, BEC(0.3), "soft", 10, seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        code, _ = make_code(3, 4, BEC(0.3))
+        with pytest.raises(ValueError, match="threads"):
+            simulate_block_error(code, BEC(0.3), "erasure", 10, seed=0, threads=threads)
+
 
 class TestGenie:
     def test_noiseless_all_zero(self):
