@@ -172,7 +172,7 @@ def bounds_series(d0: TripleDensity, n_max: int) -> BoundsSeries:
 
 def _bracketed_series(d0: TripleDensity, tol: float, n_ceiling: int) -> BoundsSeries:
     """``bounds_series(d0, n_ceiling)`` up to its first level with gap <= ``tol``."""
-    if tol <= 0.0:
+    if not tol > 0.0:  # also refuses nan
         raise ValueError("tol must be positive")
     series = bounds_series(d0, n_ceiling)
     tight = np.flatnonzero(series.upper - series.lower <= tol)

@@ -117,7 +117,7 @@ class TestBoundsCommand:
         calls = []
         monkeypatch.setattr(bounds, "_double_level", lambda *args: calls.append(1))
         out = tmp_path / "bounds.csv"
-        for tol in ("0", "-0.1"):
+        for tol in ("0", "-0.1", "nan"):
             assert run("bounds", "--channel", "bsc:0.11", "--n", "12", "--tol", tol,
                        "--out", str(out)) == 2
             assert "tol must be positive" in capsys.readouterr().err
@@ -315,6 +315,24 @@ class TestSweepCommand:
         assert lines[0] == "q,log2_q,delta,m_sat,n,target_sum,k,rate,capacity_gap"
         assert lines[1].split(",")[2] == "sign"
         assert lines[2].split(",")[2] == "4"
+
+    def test_alphabet_sweep_golden_k(self, tmp_path):
+        # criterion 7's sweep; its k per alphabet must not move with the
+        # order in which density evolution sums its terms
+        out = tmp_path / "sweep.csv"
+        assert run("sweep-q", "--channel", "bsc:0.11", "--q-sizes", "3,5,9,17,33",
+                   "--n", "10", "--target-sum", "1e-3", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(int(r[0]), int(r[6])) for r in rows] == [
+            (3, 188), (5, 188), (9, 239), (17, 264), (33, 264)]
+
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_nonfinite_target_rejected(self, tmp_path, capsys, target):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep-q", "--channel", "bsc:0.11", "--q-sizes", "5",
+                   "--n", "4", "--target-sum", target, "--out", str(out)) == 2
+        assert "target must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_even_size_rejected(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polarq import density_evolution
-from polarq.channels import BEC, BSC, LlrDensity, TripleDensity, _error_rate_arrays
+from polarq.channels import BAWGN, BEC, BSC, LlrDensity, TripleDensity, _error_rate_arrays
 from polarq.codec import check_llrs, index_to_path
 from polarq.density_evolution import (
     ResourceCeilingError,
@@ -239,7 +239,8 @@ TABLE_SPECS = ([_spec_with(q) for q in range(3, 66, 2)] + [_spec_with(2001)]
 
 
 class TestPairKernels:
-    """The batched pair transforms against one row at a time, bit for bit."""
+    """The batched pair transforms against one row at a time, bit for bit,
+    and the check step's self-pair sum against its full pair sum."""
 
     def test_check_table_equals_full_grid(self):
         for spec in TABLE_SPECS:
@@ -264,6 +265,45 @@ class TestPairKernels:
         want = np.array([np.bincount(table, np.outer(r, o).ravel(), minlength=n_levels)
                          for r, o in zip(rows, others)])
         assert np.array_equal(got, want)
+
+    # 37 random laws, then four edge laws: all mass at 0, at +M, at -M, and
+    # half at each of +-M.  A block of 101 pairs holds 11 rows at |Q| = 3,
+    # 4 at |Q| = 5 and a single row from |Q| = 17 on, so blocks end mid-array.
+    @pytest.mark.parametrize("pair_block", [101, density_evolution._PAIR_BLOCK])
+    @pytest.mark.parametrize("n_levels", [3, 5, 17, 65, 129, 513, 2001])
+    def test_self_pairs_match_full_pair_sum(self, monkeypatch, pair_block, n_levels):
+        spec = _spec_with(n_levels)
+        k = spec.half_levels
+        rows = np.vstack([_random_rows(np.random.default_rng(n_levels), 37, n_levels),
+                          np.zeros((4, n_levels))])
+        rows[37, k] = rows[38, -1] = rows[39, 0] = 1.0
+        rows[40, [0, -1]] = 0.5
+        rows /= rows.sum(axis=1, keepdims=True)
+        monkeypatch.setattr(density_evolution, "_PAIR_BLOCK", pair_block)
+        got = _de_check_vec(rows, rows, spec)
+        want = _de_check_vec(rows, rows.copy(), spec)
+        # both sums add the same nonnegative products, so neither cancels;
+        # they round in different orders, which on these laws moved no mass
+        # by more than one ulp of the law's mass 1, so 4 ulps leaves room
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4 * np.finfo(float).eps)
+        # the edge laws' products are exact in either order
+        assert np.array_equal(got[37:], want[37:])
+        # every pair's mass is a product of two input masses, so a law of
+        # mass 2 gives exactly four times the output, level 0 included
+        doubled = 2.0 * rows
+        assert np.array_equal(_de_check_vec(doubled, doubled, spec), 4.0 * got)
+
+    @pytest.mark.parametrize("channel, n_levels, n", [(BSC(0.11), 17, 10),
+                                                       (BAWGN(0.9786941246157008), 65, 12)])
+    def test_synthesize_matches_full_pair_sum(self, monkeypatch, channel, n_levels, n):
+        spec = _spec_with(n_levels)
+        d0 = quantize_density(channel.llr_density(), spec)
+        got = synthesize(d0, n, spec).error_probs()
+        check = density_evolution._de_check_vec
+        monkeypatch.setattr(density_evolution, "_de_check_vec",
+                            lambda rows, others, s: check(rows, others.copy(), s))
+        want = synthesize(d0, n, spec).error_probs()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     # the tails hold k = (|Q| - 1)/2 terms, so from |Q| = 17 on they take
     # numpy's unrolled summation and from |Q| = 259 on its pairwise recursion
@@ -290,6 +330,20 @@ class TestPairKernels:
         tracemalloc.start()
         try:
             _de_check_vec(rows, rows, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_full_pair_check_memory_is_bounded(self):
+        # the same bound on the sum over all |Q|^2 pairs of two laws
+        spec = _spec_with(65)
+        rows = _random_rows(np.random.default_rng(0), 4096, 65)
+        others = rows.copy()
+        _check_index_table(spec)
+        tracemalloc.start()
+        try:
+            _de_check_vec(rows, others, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
