@@ -21,6 +21,11 @@ density evolution's check step also uses, so decoder and DE share one
 quantized node map.  Above ``_CHECK_TABLE_MAX_LEVELS`` levels no table is
 built and the check index is computed per pair.
 
+``_sc_batch`` runs node-major: messages are (N, trials) arrays, so the two
+halves of every node are contiguous row blocks, and a node op over more
+than ``_TILE`` messages runs in row tiles whose temporaries stay in cache.
+Its outputs are transposed back to (trials, N).
+
 A decoder draws one fair tie-break coin per bit index up front, so two
 decoders fed the same generator state consume identical randomness.
 """
@@ -40,6 +45,12 @@ from .quantizer import quantize as quantize  # traced by perfbench
 # ``_check_index_table``: 4097^2 int32 entries are 67 MB, |Q| = 60,001 would
 # need 14 GB
 _CHECK_TABLE_MAX_LEVELS = 4097
+
+# messages per node-op call in ``_sc_batch``: larger nodes run in row tiles,
+# so the six float64 temporaries of an exact check (1.5 MiB) stay in a 2 MiB
+# L2.  Measured on 4096-trial chunks, 2^14 was 4% faster on one thread and
+# 15% slower on two, where each tile's calls contend for the GIL.
+_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -122,15 +133,32 @@ def check_llrs(a, b):
     b = np.asarray(b, dtype=float)
     abs_a = np.abs(a)
     abs_b = np.abs(b)
-    # min(|a|,|b|) is recomputed and each step replaces mag, so at most six
-    # input-sized arrays are live at once (a |Q| = 2001 check table is 4M pairs)
+    shape = np.broadcast(a, b).shape
+    lo = np.minimum(abs_a, abs_b, out=np.empty(shape))
+    tanh_form = lo < 1.0
+    tanh_form &= np.maximum(abs_a, abs_b) < INF
+    # each step writes into mag, other or lo, so at most six input-sized
+    # arrays are live at once: per tile in the decoder, and per call on a
+    # check table's quadrant (|Q| = 2001 is 1M pairs)
     with np.errstate(invalid="ignore", divide="ignore"):  # both infinite
-        mag = np.minimum(abs_a, abs_b) + (np.log1p(np.exp(-(abs_a + abs_b)))
-                                          - np.log1p(np.exp(-np.abs(abs_a - abs_b))))
-        mag = np.where(np.isnan(mag), INF, mag)
-        mag = np.where((np.minimum(abs_a, abs_b) < 1.0) & (np.maximum(abs_a, abs_b) < INF),
-                       2.0 * np.arctanh(np.tanh(abs_a / 2.0) * np.tanh(abs_b / 2.0)), mag)
-    return np.sign(a) * np.sign(b) * mag
+        mag = np.add(abs_a, abs_b, out=np.empty(shape))
+        np.log1p(np.exp(np.negative(mag, out=mag), out=mag), out=mag)
+        other = np.subtract(abs_a, abs_b, out=np.empty(shape))
+        np.abs(other, out=other)
+        np.log1p(np.exp(np.negative(other, out=other), out=other), out=other)
+        mag -= other
+        mag += lo
+        np.putmask(mag, np.isnan(mag), INF)
+        np.tanh(np.divide(abs_a, 2.0, out=other), out=other)
+        other *= np.tanh(np.divide(abs_b, 2.0, out=lo), out=lo)
+        np.arctanh(other, out=other)
+        other *= 2.0
+        # np.where, not putmask or copyto: the mask is random, and their branches mispredict
+        mag = np.where(tanh_form, other, mag)
+    out = np.sign(a, out=other)
+    out *= np.sign(b, out=lo)
+    out *= mag
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,12 +187,10 @@ def _check_index_table(spec: QuantizerSpec) -> np.ndarray:
 
 def var_llrs(a, b, flip):
     """Variable combine b + (-1)**flip * a with inf + (-inf) = 0."""
-    s = np.where(flip, -np.asarray(a, dtype=float), a)
+    out = np.where(flip, -np.asarray(a, dtype=float), a)
     with np.errstate(invalid="ignore"):  # opposite infinities cancel to 0
-        out = np.asarray(b, dtype=float) + s
-    bad = np.isnan(out)
-    if np.any(bad):
-        out = np.where(bad, 0.0, out)
+        np.add(b, out, out=out)
+    np.putmask(out, np.isnan(out), 0.0)
     return out
 
 
@@ -174,7 +200,8 @@ def _check_signs(a, b):
 
 def _var_signs(a, b, flip):
     s = np.where(flip, -a, a)
-    return np.sign(b + s).astype(np.int8)
+    s += b
+    return np.sign(s, out=s)
 
 
 def _index_check(spec: QuantizerSpec):
@@ -219,6 +246,19 @@ def _var_indices(a, b, flip, k: int):
 # batched successive cancellation
 
 
+def _transposed(x):
+    """C-contiguous copy of the transpose of the 2-D array ``x``.
+
+    Copied in 64 x 64 blocks, which stay in cache: three to five times
+    faster than one strided copy at 1024 x 4096.
+    """
+    out = np.empty(x.shape[::-1], dtype=x.dtype)
+    for i in range(0, x.shape[1], 64):
+        for j in range(0, x.shape[0], 64):
+            out[i:i + 64, j:j + 64] = x[j:j + 64, i:i + 64].T
+    return out
+
+
 def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = None,
               signs: bool = False, genie: bool = False):
     """Run SC decoding on a (trials, N) batch of raw channel LLRs.
@@ -230,11 +270,17 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
     messages are level indices (``_index_check``, ``_var_indices``) and the
     roots come back as the float64 levels j*delta.
 
-    Returns (u_hat, roots, errors): hard decisions, root decision statistics
-    and, in genie mode, the per-index would-be-error indicators under the
-    all-zero transmission with prior decisions forced correct.
+    The recursion runs node-major: the mapped inputs and the tie coins are
+    transposed once to (N, trials), so every node's halves are contiguous
+    row blocks.  A node op over more than ``_TILE`` messages runs a tile of
+    rows at a time, which keeps its temporaries in cache.
+
+    Returns C-contiguous (trials, N) arrays (u_hat, roots, errors): hard
+    decisions, root decision statistics and, in genie mode, the per-index
+    would-be-error indicators under the all-zero transmission with prior
+    decisions forced correct.
     """
-    llrs = np.ascontiguousarray(llrs)
+    llrs = np.asarray(llrs)
     batch, size = llrs.shape
     if size != code.block_length:
         raise ValueError(f"expected {code.block_length} channel values, got {size}")
@@ -252,40 +298,59 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
     else:
         fcheck, fvar = check_llrs, var_llrs
 
+    llrs = _transposed(llrs)
+    ties = _transposed(tie_bits)
     info_mask = code.info_mask()
-    u_hat = np.zeros((batch, size), dtype=np.uint8)
-    roots = np.empty((batch, size), dtype=llrs.dtype)
-    errors = np.zeros((batch, size), dtype=bool) if genie else None
+    u_hat = np.zeros((size, batch), dtype=np.uint8)
+    roots = np.empty((size, batch), dtype=llrs.dtype)
+    errors = np.zeros((size, batch), dtype=bool) if genie else None
+    rows = max(1, _TILE // max(batch, 1))  # per tile
+
+    def node(op, a, *rest):
+        # every node op keeps the message dtype, so the tiles fill a copy of a
+        if len(a) <= rows:
+            return op(a, *rest)
+        out = np.empty_like(a)
+        for start in range(0, len(a), rows):
+            tile = slice(start, start + rows)
+            out[tile] = op(a[tile], *(x[tile] for x in rest))
+        return out
 
     def descend(block, base):
-        width = block.shape[1]
-        if width == 1:
-            i = base
-            stat = block[:, 0]
-            roots[:, i] = stat
-            hard = (stat < 0) | ((stat == 0) & (tie_bits[:, i] == 1))
+        if len(block) == 1:
+            stat = block[0]
+            roots[base] = stat
+            hard = (stat < 0) | ((stat == 0) & (ties[base] == 1))
             if genie:
-                errors[:, i] = hard
-                return u_hat[:, i:i + 1]  # stays 0: prior decisions forced correct
-            if info_mask[i]:
-                u_hat[:, i] = hard
-            return u_hat[:, i:i + 1]
-        half = width // 2
-        a = block[:, :half]
-        b = block[:, half:]
-        x_left = descend(fcheck(a, b), base)
-        x_right = descend(fvar(a, b, x_left.astype(bool)), base + half)
-        return np.concatenate([x_left ^ x_right, x_right], axis=1)
+                errors[base] = hard  # u_hat stays 0: prior decisions forced correct
+            elif info_mask[base]:
+                u_hat[base] = hard
+            return u_hat[base:base + 1]
+        half = len(block) // 2
+        a = block[:half]
+        b = block[half:]
+        x_left = descend(node(fcheck, a, b), base)
+        # decisions are 0 or 1, so their bytes read as bool without a copy
+        x_right = descend(node(fvar, a, b, x_left.view(bool)), base + half)
+        return np.concatenate([x_left ^ x_right, x_right])
 
     descend(llrs, 0)
+    u_hat = _transposed(u_hat)
+    errors = None if errors is None else _transposed(errors)
+    roots = _transposed(roots)
     if spec is not None and not signs:
         roots = roots * spec.delta
     return u_hat, roots, errors
 
 
 def _decode_word(word, code: PolarCode, rng: np.random.Generator, **decoder):
-    """(u_hat, roots) of one word, its tie-break coins drawn from ``rng`` first."""
+    """(u_hat, roots) of one word, its tie-break coins drawn from ``rng`` first.
+
+    A NaN channel value is refused; +-inf is a certain bit.
+    """
     llrs = np.asarray(word, dtype=float).reshape(1, -1)
+    if np.isnan(llrs).any():
+        raise ValueError("channel values must not be NaN")
     tie = rng.integers(0, 2, size=llrs.shape, dtype=np.uint8)
     u_hat, roots, _ = _sc_batch(llrs, code, tie, **decoder)
     return u_hat[0], roots[0]

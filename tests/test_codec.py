@@ -125,6 +125,63 @@ class TestNodeRules:
         assert var_llrs(np.array([INF]), np.array([INF]), np.array([True]))[0] == 0.0
 
 
+def check_llrs_formula(a, b):
+    """The check rule written as one expression: ``check_llrs`` must give its bytes."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    abs_a = np.abs(a)
+    abs_b = np.abs(b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mag = np.minimum(abs_a, abs_b) + (np.log1p(np.exp(-(abs_a + abs_b)))
+                                          - np.log1p(np.exp(-np.abs(abs_a - abs_b))))
+        mag = np.where(np.isnan(mag), INF, mag)
+        mag = np.where((np.minimum(abs_a, abs_b) < 1.0) & (np.maximum(abs_a, abs_b) < INF),
+                       2.0 * np.arctanh(np.tanh(abs_a / 2.0) * np.tanh(abs_b / 2.0)), mag)
+    return np.sign(a) * np.sign(b) * mag
+
+
+def var_llrs_formula(a, b, flip):
+    """The variable rule written as one expression: ``var_llrs`` must give its bytes."""
+    s = np.where(flip, -np.asarray(a, dtype=float), a)
+    with np.errstate(invalid="ignore"):
+        out = np.asarray(b, dtype=float) + s
+    return np.where(np.isnan(out), 0.0, out)
+
+
+# signed zeros, infinities, the tanh/log switch at 1, the smallest subnormal
+# and 745 and 800, where exp underflows to a subnormal and to 0
+SENTINELS = [s * x for s in (1.0, -1.0)
+             for x in (0.0, INF, 1.0, float(np.nextafter(1.0, 0.0)), 5e-324, 745.0, 800.0)]
+
+
+@st.composite
+def message_pairs(draw):
+    """Equal-length float arrays a, b and flip bits, sentinels mixed in."""
+    size = draw(st.integers(1, 64))
+    messages = st.one_of(st.floats(allow_nan=False), st.sampled_from(SENTINELS))
+    a = draw(arrays(np.float64, size, elements=messages))
+    b = draw(arrays(np.float64, size, elements=messages))
+    flip = draw(arrays(np.bool_, size))
+    return a, b, flip
+
+
+class TestNodeRuleBytes:
+    def test_signed_zero_products(self):
+        assert np.signbit(check_llrs(np.array([0.0]), np.array([-3.0])))[0]
+        assert not np.signbit(check_llrs(np.array([-0.0]), np.array([3.0])))[0]
+
+    @given(message_pairs())
+    def test_check_rule_bytes(self, pair):
+        a, b, _ = pair
+        for x, y in ((a, b), (a[:, None], b[None, :]), (a[0], b[0])):
+            assert np.asarray(check_llrs(x, y)).tobytes() == check_llrs_formula(x, y).tobytes()
+
+    @given(message_pairs())
+    def test_var_rule_bytes(self, pair):
+        a, b, flip = pair
+        assert var_llrs(a, b, flip).tobytes() == var_llrs_formula(a, b, flip).tobytes()
+
+
 class TestScDecode:
     def test_noiseless_all_zero(self):
         code = PolarCode(n=3, info_set=frozenset(range(8)))
@@ -203,6 +260,27 @@ class TestScDecode:
             upto = first_tie[0] if first_tie.size else size
             assert np.all(roots[:upto] > 0)
             assert np.all(u_hat[:upto] == 0)
+
+
+class TestPublicDecoders:
+    DECODERS = {
+        "exact": sc_decode,
+        "quantized": lambda word, code, rng: quantized_sc_decode(
+            word, code, QuantizerSpec(delta=1.0, m_sat=8.0), rng),
+        "erasure": erasure_sc_decode,
+    }
+
+    @pytest.mark.parametrize("decoder", sorted(DECODERS))
+    def test_nan_word_is_refused(self, decoder):
+        code = PolarCode(n=2, info_set=frozenset(range(4)))
+        with pytest.raises(ValueError):
+            self.DECODERS[decoder]([np.nan, INF, 0.0, -INF], code, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("decoder", sorted(DECODERS))
+    def test_infinite_word_decodes_to_zeros(self, decoder):
+        code = PolarCode(n=2, info_set=frozenset(range(4)))
+        out = self.DECODERS[decoder]([INF] * 4, code, np.random.default_rng(0))
+        assert np.array_equal(out[0] if isinstance(out, tuple) else out, np.zeros(4))
 
 
 class TestQuantizedDecode:
@@ -285,16 +363,17 @@ def decoder_batches(draw, elements):
     return words, PolarCode(n=n, info_set=frozenset(info)), ties
 
 
-def float_quantized_sc(words, code, ties, spec, genie):
-    """SC over float levels with every node output quantized, as (u_hat, roots, errors).
+def batch_major_sc(words, code, ties, check, var, genie):
+    """SC over (trials, N) messages ``words`` with the node maps ``check`` and ``var``.
 
-    The reference for ``_sc_batch(spec=...)``, which runs on level indices:
-    the float node maps ``quantize(spec, check_llrs)`` and
-    ``quantize(spec, var_llrs)`` must give the same bytes.
+    The reference for ``_sc_batch``, which runs node-major in tiles and on
+    level indices under a quantizer: each node splits on the last axis and
+    runs in one call, and the roots keep the dtype of ``words``.  Returns
+    (u_hat, roots, errors).
     """
     info = code.info_mask()
     u_hat = np.zeros(words.shape, dtype=np.uint8)
-    roots = np.empty(words.shape)
+    roots = np.empty(words.shape, dtype=words.dtype)
     errors = np.zeros(words.shape, dtype=bool) if genie else None
 
     def descend(block, base):
@@ -309,12 +388,30 @@ def float_quantized_sc(words, code, ties, spec, genie):
             return u_hat[:, base:base + 1]
         half = block.shape[1] // 2
         a, b = block[:, :half], block[:, half:]
-        x_left = descend(quantize(spec, check_llrs(a, b)), base)
-        x_right = descend(quantize(spec, var_llrs(a, b, x_left.astype(bool))), base + half)
+        x_left = descend(check(a, b), base)
+        x_right = descend(var(a, b, x_left.astype(bool)), base + half)
         return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
-    descend(quantize(spec, words), 0)
+    descend(words, 0)
     return u_hat, roots, errors
+
+
+def reference_sc(decoder, words, code, ties, spec, genie):
+    """``batch_major_sc`` on ``decoder``'s alphabet; a quantizer runs on float levels."""
+    if decoder == "exact":
+        return batch_major_sc(words, code, ties, check_llrs, var_llrs, genie)
+    if decoder == "erasure":
+        return batch_major_sc(np.sign(words).astype(np.int8), code, ties,
+                              codec._check_signs, codec._var_signs, genie)
+    return batch_major_sc(quantize(spec, words), code, ties,
+                          lambda a, b: quantize(spec, check_llrs(a, b)),
+                          lambda a, b, flip: quantize(spec, var_llrs(a, b, flip)), genie)
+
+
+def assert_same_decoding(got, want):
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+    assert (got[2] is None and want[2] is None) or np.array_equal(got[2], want[2])
 
 
 class TestDecoderAlphabets:
@@ -335,9 +432,7 @@ class TestDecoderAlphabets:
         spec = QuantizerSpec(delta=delta, m_sat=half_levels * delta)
         raw = _sc_batch(words, code, ties, spec=spec, genie=genie)
         pre = _sc_batch(quantize(spec, words), code, ties, spec=spec, genie=genie)
-        assert np.array_equal(raw[0], pre[0])
-        assert raw[1].dtype == pre[1].dtype and raw[1].tobytes() == pre[1].tobytes()
-        assert (raw[2] is None and pre[2] is None) or np.array_equal(raw[2], pre[2])
+        assert_same_decoding(raw, pre)
 
     # a cap of 0 levels sends every check node down the path without a table
     @pytest.mark.parametrize("cap", [codec._CHECK_TABLE_MAX_LEVELS, 0], ids=["table", "no-table"])
@@ -349,10 +444,48 @@ class TestDecoderAlphabets:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codec, "_CHECK_TABLE_MAX_LEVELS", cap)
             got = _sc_batch(words, code, ties, spec=spec, genie=genie)
-        want = float_quantized_sc(words, code, ties, spec, genie)
-        assert np.array_equal(got[0], want[0])
-        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
-        assert (got[2] is None and want[2] is None) or np.array_equal(got[2], want[2])
+        assert_same_decoding(got, reference_sc("quantized", words, code, ties, spec, genie))
+
+    # a tile of 1 message runs every node of more than one row a row at a time
+    @pytest.mark.parametrize("tile", [codec._TILE, 1], ids=["default-tile", "tile-1"])
+    @pytest.mark.parametrize("decoder", ["exact", "quantized", "erasure"])
+    @given(decoder_batches(st.floats(allow_nan=False)), st.booleans(),
+           st.floats(0.05, 4.0), st.integers(1, 8))
+    def test_node_major_tiles_match_batch_major(self, tile, decoder, batch, genie, delta,
+                                                half_levels):
+        words, code, ties = batch
+        spec = QuantizerSpec(delta=delta, m_sat=half_levels * delta)
+        alphabet = {"exact": {}, "quantized": {"spec": spec}, "erasure": {"signs": True}}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_TILE", tile)
+            got = _sc_batch(words, code, ties, genie=genie, **alphabet[decoder])
+        assert all(out.shape == words.shape and out.flags.c_contiguous
+                   for out in got if out is not None)
+        assert_same_decoding(got, reference_sc(decoder, words, code, ties, spec, genie))
+
+
+# the benchmark's tracer times these names by swapping the module attributes,
+# so _sc_batch must look each one up in the module when it runs
+NODE_OPS = ("check_llrs", "var_llrs", "_check_signs", "_var_signs")
+
+
+@pytest.mark.parametrize("alphabet, cap, called", [
+    ({}, codec._CHECK_TABLE_MAX_LEVELS, {"check_llrs", "var_llrs"}),
+    ({"signs": True}, codec._CHECK_TABLE_MAX_LEVELS, {"_check_signs", "_var_signs"}),
+    ({"spec": QuantizerSpec(delta=1.0, m_sat=8.0)}, 0, {"check_llrs"}),
+], ids=["exact", "erasure", "quantized-no-table"])
+def test_node_ops_are_called_through_module_attributes(monkeypatch, alphabet, cap, called):
+    calls = dict.fromkeys(NODE_OPS, 0)
+    for name in NODE_OPS:
+        def counted(*args, _name=name, _op=getattr(codec, name)):
+            calls[_name] += 1
+            return _op(*args)
+        monkeypatch.setattr(codec, name, counted)
+    monkeypatch.setattr(codec, "_CHECK_TABLE_MAX_LEVELS", cap)
+    words = np.random.default_rng(0).normal(size=(3, 8))
+    code = PolarCode(n=3, info_set=frozenset(range(8)))
+    _sc_batch(words, code, np.zeros(words.shape, dtype=np.uint8), **alphabet)
+    assert calls == {name: 7 if name in called else 0 for name in NODE_OPS}
 
 
 class TestPolarCode:
