@@ -113,6 +113,8 @@ def cmd_curve(args) -> None:
 def cmd_construct(args) -> None:
     channel = parse_channel(args.channel)
     quantizer = parse_quantizer(args.quantizer)
+    if args.n < 0:
+        raise ValueError(f"n must be nonnegative, got {args.n}")
     size = 1 << args.n
     k_real = args.rate * size
     k = round(k_real)

@@ -26,6 +26,14 @@ halves of every node are contiguous row blocks, and a node op over more
 than ``_TILE`` messages runs in row tiles whose temporaries stay in cache.
 Its outputs are transposed back to (trials, N).
 
+A caller that discards the roots outside genie mode (``sim``'s block-error
+runs) has ``_sc_batch`` skip every subtree whose indices are all frozen, as
+in simplified SC (Alamdar-Yazdi and Kschischang, 2011).  That is exact: a
+frozen decision is 0 whatever its statistic, so such a subtree's decisions
+and partial sums are zeros without evaluating it, and the tie coins are
+drawn up front, so skipping consumes no randomness.  Genie mode and the
+single-word decoders evaluate every node and return every root.
+
 A decoder draws one fair tie-break coin per bit index up front, so two
 decoders fed the same generator state consume identical randomness.
 """
@@ -260,7 +268,7 @@ def _transposed(x):
 
 
 def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = None,
-              signs: bool = False, genie: bool = False):
+              signs: bool = False, genie: bool = False, discard_roots: bool = False):
     """Run SC decoding on a (trials, N) batch of raw channel LLRs.
 
     The inputs are mapped onto the decoder's alphabet first: ``signs=True``
@@ -274,6 +282,13 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
     transposed once to (N, trials), so every node's halves are contiguous
     row blocks.  A node op over more than ``_TILE`` messages runs a tile of
     rows at a time, which keeps its temporaries in cache.
+
+    With ``discard_roots`` the roots come back as None and, outside genie
+    mode, a subtree whose indices are all frozen is not evaluated: its
+    decisions and partial sums are zeros whatever its messages, so the check
+    op that would feed a frozen left half is skipped and its right sibling's
+    var op flips by the zero rows.  The test is O(1) per node, on a prefix
+    count of the information indices.
 
     Returns C-contiguous (trials, N) arrays (u_hat, roots, errors): hard
     decisions, root decision statistics and, in genie mode, the per-index
@@ -302,8 +317,11 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
     ties = _transposed(tie_bits)
     info_mask = code.info_mask()
     u_hat = np.zeros((size, batch), dtype=np.uint8)
-    roots = np.empty((size, batch), dtype=llrs.dtype)
+    roots = None if discard_roots else np.empty((size, batch), dtype=llrs.dtype)
     errors = np.zeros((size, batch), dtype=bool) if genie else None
+    skip = discard_roots and not genie
+    # info_before[i] is the number of information indices below i
+    info_before = np.concatenate([[0], np.cumsum(info_mask)]).tolist()
     rows = max(1, _TILE // max(batch, 1))  # per tile
 
     def node(op, a, *rest):
@@ -316,10 +334,15 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
             out[tile] = op(a[tile], *(x[tile] for x in rest))
         return out
 
+    def frozen(base, length):
+        # the rows of u_hat stay 0 there, and serve as the subtree's partial sums
+        return skip and info_before[base + length] == info_before[base]
+
     def descend(block, base):
         if len(block) == 1:
             stat = block[0]
-            roots[base] = stat
+            if roots is not None:
+                roots[base] = stat
             hard = (stat < 0) | ((stat == 0) & (ties[base] == 1))
             if genie:
                 errors[base] = hard  # u_hat stays 0: prior decisions forced correct
@@ -329,17 +352,21 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
         half = len(block) // 2
         a = block[:half]
         b = block[half:]
-        x_left = descend(node(fcheck, a, b), base)
+        x_left = (u_hat[base:base + half] if frozen(base, half)
+                  else descend(node(fcheck, a, b), base))
         # decisions are 0 or 1, so their bytes read as bool without a copy
-        x_right = descend(node(fvar, a, b, x_left.view(bool)), base + half)
+        x_right = (u_hat[base + half:base + 2 * half] if frozen(base + half, half)
+                   else descend(node(fvar, a, b, x_left.view(bool)), base + half))
         return np.concatenate([x_left ^ x_right, x_right])
 
-    descend(llrs, 0)
+    if not frozen(0, size):
+        descend(llrs, 0)
     u_hat = _transposed(u_hat)
     errors = None if errors is None else _transposed(errors)
-    roots = _transposed(roots)
-    if spec is not None and not signs:
-        roots = roots * spec.delta
+    if roots is not None:
+        roots = _transposed(roots)
+        if spec is not None and not signs:
+            roots = roots * spec.delta
     return u_hat, roots, errors
 
 

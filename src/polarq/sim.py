@@ -95,7 +95,7 @@ def _run_chunk(code, channel, spec, signs, seed, start, stop, genie,
         # by channel symmetry a transmitted 1 mirrors the all-zero LLR law
         llrs *= 1.0 - 2.0 * encode(messages)
     u_hat, _, errors = _sc_batch(llrs, code, ties, spec=spec, signs=signs,
-                                 genie=genie)
+                                 genie=genie, discard_roots=True)
     if genie:
         wrong = errors[:, info].any(axis=1) if info.size else np.zeros(batch, bool)
         return int(wrong.sum()), errors.sum(axis=0).astype(np.int64)
@@ -159,8 +159,8 @@ def simulate_block_error(code: PolarCode, channel: ChannelModel, decoder,
     QuantizerSpec decoder automatically.
 
     ``random_messages`` encodes a random word per trial and flips the LLR
-    signs accordingly; it exists as a symmetry sanity check and is not used
-    by any golden test.
+    signs accordingly; it exists as a symmetry sanity check, and a seeded
+    test pins its block-error counts as it does the all-zero ones.
     """
     return _simulate(code, channel, decoder, trials, seed, genie=False,
                      threads=threads, random_messages=random_messages)
@@ -182,11 +182,16 @@ def union_bound(family: SynthesizedFamily, info_set) -> float:
     """Sum of the per-index error probabilities over ``info_set``.
 
     Upper-bounds the genie-aided block-error probability of the code using
-    those indices.
+    those indices.  Indices must be distinct integers: a repeated one would
+    be counted twice and a fractional one truncated.
     """
-    idx = np.asarray(sorted(int(i) for i in info_set), dtype=np.int64)
+    idx = np.sort(np.asarray(list(info_set)))
     if idx.size == 0:
         return 0.0
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"information indices must be integers, got {idx.dtype} values")
+    if np.any(idx[1:] == idx[:-1]):
+        raise ValueError("information indices must not repeat")
     if idx[0] < 0 or idx[-1] >= family.block_length:
         raise ValueError("information index out of range")
     return float(family.error_probs()[idx].sum())

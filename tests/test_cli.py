@@ -173,6 +173,13 @@ class TestConstructCommand:
                    "--n", "2", "--rate", "0.3", "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_negative_n_rejected(self, tmp_path, capsys):
+        out = tmp_path / "code.txt"
+        assert run("construct", "--channel", "bsc:0.11", "--quantizer", "q:sign",
+                   "--n", "-1", "--rate", "0.5", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "n must be nonnegative" in capsys.readouterr().err
+
     def test_library_and_cli_construct_from_one_bawgn_law(self, tmp_path):
         # BAWGN at capacity 1/2; a grid other than the CLI's moves indices 0 and 36
         sigma, spec = 0.9786941246157008, QuantizerSpec(delta=1.0, m_sat=8.0)

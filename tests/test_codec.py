@@ -463,10 +463,46 @@ class TestDecoderAlphabets:
                    for out in got if out is not None)
         assert_same_decoding(got, reference_sc(decoder, words, code, ties, spec, genie))
 
+    # empty and full information sets are drawn too: every node skipped, none
+    @pytest.mark.parametrize("tile", [codec._TILE, 1], ids=["default-tile", "tile-1"])
+    @pytest.mark.parametrize("decoder", ["exact", "quantized", "erasure"])
+    @given(decoder_batches(st.floats(allow_nan=False)), st.floats(0.05, 4.0), st.integers(1, 8))
+    def test_skipping_frozen_subtrees_matches_batch_major(self, tile, decoder, batch, delta,
+                                                         half_levels):
+        words, code, ties = batch
+        spec = QuantizerSpec(delta=delta, m_sat=half_levels * delta)
+        alphabet = {"exact": {}, "quantized": {"spec": spec}, "erasure": {"signs": True}}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_TILE", tile)
+            u_hat, roots, errors = _sc_batch(words, code, ties, discard_roots=True,
+                                             **alphabet[decoder])
+        want = reference_sc(decoder, words, code, ties, spec, False)[0]
+        assert u_hat.dtype == want.dtype and u_hat.flags.c_contiguous
+        assert np.array_equal(u_hat, want)
+        assert roots is None and errors is None
+
 
 # the benchmark's tracer times these names by swapping the module attributes,
 # so _sc_batch must look each one up in the module when it runs
 NODE_OPS = ("check_llrs", "var_llrs", "_check_signs", "_var_signs")
+
+
+@pytest.fixture
+def node_calls(monkeypatch):
+    """Calls per name in NODE_OPS, counted by wrappers set as the module attributes."""
+    calls = dict.fromkeys(NODE_OPS, 0)
+    for name in NODE_OPS:
+        def counted(*args, _name=name, _op=getattr(codec, name)):
+            calls[_name] += 1
+            return _op(*args)
+        monkeypatch.setattr(codec, name, counted)
+    return calls
+
+
+def decode_n3(info_set, **decoder):
+    words = np.random.default_rng(0).normal(size=(3, 8))
+    code = PolarCode(n=3, info_set=frozenset(info_set))
+    return _sc_batch(words, code, np.zeros(words.shape, dtype=np.uint8), **decoder)
 
 
 @pytest.mark.parametrize("alphabet, cap, called", [
@@ -474,18 +510,28 @@ NODE_OPS = ("check_llrs", "var_llrs", "_check_signs", "_var_signs")
     ({"signs": True}, codec._CHECK_TABLE_MAX_LEVELS, {"_check_signs", "_var_signs"}),
     ({"spec": QuantizerSpec(delta=1.0, m_sat=8.0)}, 0, {"check_llrs"}),
 ], ids=["exact", "erasure", "quantized-no-table"])
-def test_node_ops_are_called_through_module_attributes(monkeypatch, alphabet, cap, called):
-    calls = dict.fromkeys(NODE_OPS, 0)
-    for name in NODE_OPS:
-        def counted(*args, _name=name, _op=getattr(codec, name)):
-            calls[_name] += 1
-            return _op(*args)
-        monkeypatch.setattr(codec, name, counted)
+def test_node_ops_are_called_through_module_attributes(monkeypatch, node_calls, alphabet, cap,
+                                                       called):
     monkeypatch.setattr(codec, "_CHECK_TABLE_MAX_LEVELS", cap)
-    words = np.random.default_rng(0).normal(size=(3, 8))
-    code = PolarCode(n=3, info_set=frozenset(range(8)))
-    _sc_batch(words, code, np.zeros(words.shape, dtype=np.uint8), **alphabet)
-    assert calls == {name: 7 if name in called else 0 for name in NODE_OPS}
+    decode_n3(range(8), **alphabet)
+    assert node_calls == {name: 7 if name in called else 0 for name in NODE_OPS}
+
+
+# without roots or genie errors, the info set {7} leaves the var op on each level of
+# the path to index 7 and the empty set no node; any other mode runs all 7 + 7
+@pytest.mark.parametrize("mode", [{"discard_roots": True}, {}, {"genie": True},
+                                  {"genie": True, "discard_roots": True}],
+                         ids=["skipping", "roots", "genie", "genie-discarding-roots"])
+@pytest.mark.parametrize("info_set, skipped_calls", [({7}, (0, 3)), (set(), (0, 0)),
+                                                     (set(range(8)), (7, 7))],
+                         ids=["last-index", "empty", "full"])
+def test_frozen_subtrees_are_skipped_only_without_roots_or_genie(node_calls, info_set,
+                                                                 skipped_calls, mode):
+    _, roots, _ = decode_n3(info_set, **mode)
+    skipping = mode == {"discard_roots": True}
+    assert (node_calls["check_llrs"], node_calls["var_llrs"]) == (skipped_calls if skipping
+                                                                  else (7, 7))
+    assert (roots is None) == mode.get("discard_roots", False)
 
 
 class TestPolarCode:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polarq.channels import BEC, BSC
+from polarq.cli import main, read_code_file
 from polarq.codec import PolarCode
 from polarq.density_evolution import choose_info_set, synthesize, synthesize_triples
 from polarq.quantizer import QuantizerSpec, quantize_density
@@ -78,6 +79,23 @@ class TestBlockError:
         code, _ = make_code(3, 4, BEC(0.3))
         with pytest.raises(ValueError, match="threads"):
             simulate_block_error(code, BEC(0.3), "erasure", 10, seed=0, threads=threads)
+
+    # seeded counts: any decoder change that is not bit-exact moves them
+    @pytest.mark.parametrize("random_messages, counts", [
+        (False, {"exact": 515, "q:delta=1,M=8": 542, "erasure": 887}),
+        (True, {"exact": 536, "q:delta=1,M=8": 565, "erasure": 906}),
+    ], ids=["all-zero", "random-messages"])
+    def test_block_errors_pinned(self, tmp_path, random_messages, counts):
+        path = tmp_path / "code.txt"
+        assert main(["construct", "--channel", "bsc:0.11", "--quantizer", "q:delta=1,M=8",
+                     "--n", "8", "--rate", "0.375", "--out", str(path)]) == 0
+        code, _ = read_code_file(str(path))
+        got = {}
+        for decoder in ("exact", QuantizerSpec(delta=1.0, m_sat=8.0), "erasure"):
+            rep = simulate_block_error(code, BSC(0.11), decoder, 2000, seed=5,
+                                       random_messages=random_messages)
+            got[rep.decoder] = rep.block_errors
+        assert got == counts
 
 
 class TestGenie:
@@ -159,6 +177,29 @@ class TestUnionBound:
         fam = synthesize_triples(BEC(0.5).triple(), 2)
         with pytest.raises(ValueError):
             union_bound(fam, {4})
+
+    @staticmethod
+    def quantized_bsc_family():
+        spec = QuantizerSpec(delta=1.0, m_sat=8.0)
+        return synthesize(quantize_density(BSC(0.11).llr_density(), spec), 4, spec)
+
+    def test_repeated_index_refused(self):
+        fam = self.quantized_bsc_family()
+        assert union_bound(fam, {3}) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(ValueError, match="repeat"):
+            union_bound(fam, [3, 3])
+
+    @pytest.mark.parametrize("info_set", [[3.7], [3.0], np.array([1.0, 2.0]), [True]])
+    def test_non_integer_index_refused(self, info_set):
+        with pytest.raises(ValueError, match="integers"):
+            union_bound(self.quantized_bsc_family(), info_set)
+
+    def test_sets_ranges_and_integer_arrays_agree(self):
+        fam = self.quantized_bsc_family()
+        want = union_bound(fam, {0, 1, 2})
+        for info_set in (range(3), [2, 0, 1], np.array([2, 1, 0]), np.arange(3, dtype=np.uint8),
+                         frozenset(np.arange(3))):
+            assert union_bound(fam, info_set) == want
 
     def test_random_messages_match_all_zero_statistics(self):
         # channel symmetry: the random-message mode is a sanity check whose
