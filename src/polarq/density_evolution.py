@@ -10,14 +10,13 @@ scalar transforms, ``synthesize_triples`` and the bounds module all call.
 It puts the check (minus) children of a level first and the variable
 (plus) children second; ``synthesize`` keeps the same layout, and both end
 with one bit-reversal gather into index order (``_index_order``).  The
-finite-alphabet pair transforms are written once, in ``_de_*_vec``, and
-batch blocks of rows.  The variable step keeps one ``np.convolve`` per row,
-whose order of summation batched numpy does not reproduce, and batches only
-the tail folds, bit for bit.  The check step of two different laws sums all
-|Q|^2 pairs, bit for bit what one row at a time gives.  In ``synthesize``
-both laws of the check step are the same, and it sums each pair of input
-magnitudes once, by the sign of the pair (``_de_self_check``): about a
-quarter of the terms, in another order of rounding, with no cancellation.
+finite-alphabet pair transforms of ``synthesize`` are written once, in
+``_de_*_vec``, and batch blocks of rows.  The variable step keeps one
+``np.convolve`` per row, whose order of summation batched numpy does not
+reproduce, and batches only the tail folds, bit for bit.  The check step
+pairs each law with itself, so it sums each pair of input magnitudes once,
+by the sign of the pair: about a quarter of the |Q|^2 terms, with no
+cancellation.  ``de_check`` of two laws is the one-row full pair sum.
 """
 
 from __future__ import annotations
@@ -142,12 +141,14 @@ def de_var(d1: LlrDensity, d2: LlrDensity, spec: QuantizerSpec) -> LlrDensity:
 def de_check(d1: LlrDensity, d2: LlrDensity, spec: QuantizerSpec) -> LlrDensity:
     """Law of Q(2 atanh(tanh(X/2) tanh(Y/2))) by full pair enumeration.
 
-    The two laws are always summed over all |Q|^2 pairs, even when equal;
-    only ``synthesize``, which pairs a law with itself, sums by magnitude.
+    The two laws are always summed over all |Q|^2 pairs, even when equal,
+    in one ``bincount`` of their outer product over ``_check_index_table``;
+    only ``synthesize``, which pairs a law with itself, sums by magnitude
+    (``_de_check_vec``).
     """
-    rows = _de_check_vec(_density_vector(d1, spec)[None, :],
-                         _density_vector(d2, spec)[None, :], spec)
-    return LlrDensity(levels(spec), rows[0])
+    pairs = np.outer(_density_vector(d1, spec), _density_vector(d2, spec))
+    probs = np.bincount(_check_index_table(spec).ravel(), pairs.ravel(), minlength=spec.n_levels)
+    return LlrDensity(levels(spec), probs)
 
 
 def _de_var_vec(rows: np.ndarray, others: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
@@ -172,39 +173,9 @@ def _de_var_vec(rows: np.ndarray, others: np.ndarray, spec: QuantizerSpec) -> np
     return out
 
 
-def _de_check_vec(rows: np.ndarray, others: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    """Check-node law of each row of ``rows`` with the same row of ``others``.
-
-    Two different laws take the full pair sum: rows go in blocks of at most
-    ``_PAIR_BLOCK`` pairs, one ``bincount`` a block over the indices
-    q * row + table.  That is bit-identical to one
-    ``bincount(table, outer(row, other).ravel())`` per row: ``bincount``
-    adds the weights into zeroed bins in input order, the rows' bins are
-    disjoint, and each row's products come in the order of its outer
-    product, so every bin sums the same terms in the same order.
-
-    When ``others is rows`` each law is paired with itself, and
-    ``_de_self_check`` sums about a quarter as many terms, in another order.
-    """
-    q = spec.n_levels
-    step = max(1, _PAIR_BLOCK // (q * q))
-    if others is rows:
-        return _de_self_check(rows, spec, step)
-    index = (q * np.arange(step, dtype=np.int64))[:, None] + _check_index_table(spec).ravel()
-    out = np.empty_like(rows)
-    for start in range(0, rows.shape[0], step):
-        r = rows[start:start + step]
-        o = others[start:start + step]
-        size = r.shape[0]
-        pairs = r[:, :, None] * o[:, None, :]
-        out[start:start + size] = np.bincount(index[:size].ravel(), weights=pairs.ravel(),
-                                              minlength=size * q).reshape(size, q)
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def _magnitude_pairs(spec: QuantizerSpec, step: int):
-    """Gather and bin indices of ``_de_self_check`` for blocks of ``step`` rows.
+    """Gather and bin indices of ``_de_check_vec`` for blocks of ``step`` rows.
 
     The pairs are the magnitudes 1 <= i <= j <= k, the diagonal first.
     ``gather[:, row]`` holds the flat positions q * row + k +- i and
@@ -222,7 +193,7 @@ def _magnitude_pairs(spec: QuantizerSpec, step: int):
     return gather, middle + level, middle - level
 
 
-def _de_self_check(rows: np.ndarray, spec: QuantizerSpec, step: int) -> np.ndarray:
+def _de_check_vec(rows: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     """Check-node law of each row of ``rows`` with an independent copy of itself.
 
     The combine's magnitude depends only on the input magnitudes and its
@@ -233,10 +204,12 @@ def _de_self_check(rows: np.ndarray, spec: QuantizerSpec, step: int) -> np.ndarr
     Every weight is nonnegative, so no sum cancels.  A zero input gives a
     zero output: with z the mass at 0 and s the mass off it, those pairs
     add z^2 + 2 z s to level 0, which is z(2 - z) for a law of mass 1.
-    Rows go in the full pair sum's blocks of ``step`` rows, one ``take`` and
-    two ``bincount`` a block.
+    Rows go in blocks of ``_PAIR_BLOCK // |Q|^2`` rows (at least one), one
+    ``take`` and two ``bincount`` a block.  This is the one check kernel of
+    ``synthesize``; ``de_check`` is the full pair sum of one row.
     """
     k, q = spec.half_levels, spec.n_levels
+    step = max(1, _PAIR_BLOCK // (q * q))
     gather, same_bins, opposite_bins = _magnitude_pairs(spec, step)
     out = np.empty_like(rows)
     for start in range(0, rows.shape[0], step):
@@ -343,7 +316,7 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec) -> SynthesizedFamily
             "use a coarser quantizer or a smaller n")
     rows = _density_vector(d0, spec)[None, :]
     for _ in range(n):
-        rows = np.concatenate([_de_check_vec(rows, rows, spec), _de_var_vec(rows, rows, spec)])
+        rows = np.concatenate([_de_check_vec(rows, spec), _de_var_vec(rows, rows, spec)])
         rows /= rows.sum(axis=1, keepdims=True)
     return SynthesizedFamily(n=n, kind="quantized", data=_index_order(rows),
                              alphabet=levels(spec))

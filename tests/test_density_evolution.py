@@ -231,6 +231,14 @@ def _random_rows(rng, count, n_levels):
     return rows
 
 
+def _full_pair_check(rows, others, spec):
+    """Check-node law of each row with the same row of ``others``, summed
+    over all |Q|^2 pairs one row at a time."""
+    table = _check_index_table(spec).ravel()
+    return np.array([np.bincount(table, np.outer(r, o).ravel(), minlength=spec.n_levels)
+                     for r, o in zip(rows, others)])
+
+
 # |Q| = 3..65 and 2001 at M = 8, delta = 0.01 at M = 10, and the specs the
 # other tests of this module use
 TABLE_SPECS = ([_spec_with(q) for q in range(3, 66, 2)] + [_spec_with(2001)]
@@ -239,8 +247,8 @@ TABLE_SPECS = ([_spec_with(q) for q in range(3, 66, 2)] + [_spec_with(2001)]
 
 
 class TestPairKernels:
-    """The batched pair transforms against one row at a time, bit for bit,
-    and the check step's self-pair sum against its full pair sum."""
+    """The batched variable transform against one row at a time, bit for
+    bit, and the check step's self-pair sum against the full pair sum."""
 
     def test_check_table_equals_full_grid(self):
         for spec in TABLE_SPECS:
@@ -250,21 +258,6 @@ class TestPairKernels:
             table = _check_index_table(spec)
             assert table.dtype == np.int32
             assert np.array_equal(table, full), spec
-
-    # 37 rows, so blocks end mid-array; a block of 101 pairs holds 11 rows
-    # at |Q| = 3, 4 at |Q| = 5 and a single row from |Q| = 9 on
-    @pytest.mark.parametrize("pair_block", [1, 101, density_evolution._PAIR_BLOCK])
-    @pytest.mark.parametrize("n_levels", [3, 5, 17, 65, 129, 513])
-    def test_check_matches_per_row_bincount(self, monkeypatch, pair_block, n_levels):
-        spec = _spec_with(n_levels)
-        rng = np.random.default_rng(n_levels)
-        rows, others = _random_rows(rng, 37, n_levels), _random_rows(rng, 37, n_levels)
-        monkeypatch.setattr(density_evolution, "_PAIR_BLOCK", pair_block)
-        got = _de_check_vec(rows, others, spec)
-        table = _check_index_table(spec).ravel()
-        want = np.array([np.bincount(table, np.outer(r, o).ravel(), minlength=n_levels)
-                         for r, o in zip(rows, others)])
-        assert np.array_equal(got, want)
 
     # 37 random laws, then four edge laws: all mass at 0, at +M, at -M, and
     # half at each of +-M.  A block of 101 pairs holds 11 rows at |Q| = 3,
@@ -280,8 +273,8 @@ class TestPairKernels:
         rows[40, [0, -1]] = 0.5
         rows /= rows.sum(axis=1, keepdims=True)
         monkeypatch.setattr(density_evolution, "_PAIR_BLOCK", pair_block)
-        got = _de_check_vec(rows, rows, spec)
-        want = _de_check_vec(rows, rows.copy(), spec)
+        got = _de_check_vec(rows, spec)
+        want = _full_pair_check(rows, rows, spec)
         # both sums add the same nonnegative products, so neither cancels;
         # they round in different orders, which on these laws moved no mass
         # by more than one ulp of the law's mass 1, so 4 ulps leaves room
@@ -291,7 +284,7 @@ class TestPairKernels:
         # every pair's mass is a product of two input masses, so a law of
         # mass 2 gives exactly four times the output, level 0 included
         doubled = 2.0 * rows
-        assert np.array_equal(_de_check_vec(doubled, doubled, spec), 4.0 * got)
+        assert np.array_equal(_de_check_vec(doubled, spec), 4.0 * got)
 
     @pytest.mark.parametrize("channel, n_levels, n", [(BSC(0.11), 17, 10),
                                                        (BAWGN(0.9786941246157008), 65, 12)])
@@ -299,9 +292,8 @@ class TestPairKernels:
         spec = _spec_with(n_levels)
         d0 = quantize_density(channel.llr_density(), spec)
         got = synthesize(d0, n, spec).error_probs()
-        check = density_evolution._de_check_vec
         monkeypatch.setattr(density_evolution, "_de_check_vec",
-                            lambda rows, others, s: check(rows, others.copy(), s))
+                            lambda rows, s: _full_pair_check(rows, rows, s))
         want = synthesize(d0, n, spec).error_probs()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -329,21 +321,7 @@ class TestPairKernels:
         _check_index_table(spec)
         tracemalloc.start()
         try:
-            _de_check_vec(rows, rows, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
-
-    def test_full_pair_check_memory_is_bounded(self):
-        # the same bound on the sum over all |Q|^2 pairs of two laws
-        spec = _spec_with(65)
-        rows = _random_rows(np.random.default_rng(0), 4096, 65)
-        others = rows.copy()
-        _check_index_table(spec)
-        tracemalloc.start()
-        try:
-            _de_check_vec(rows, others, spec)
+            _de_check_vec(rows, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
