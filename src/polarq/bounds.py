@@ -206,6 +206,8 @@ def bounds_series_mc(d0: TripleDensity, n: int, samples: int, seed: int) -> McBo
     Unbiased sample means with 95% normal-approximation radii; intended for
     levels beyond the enumeration ceiling.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     rng = np.random.default_rng(seed)
@@ -333,6 +335,8 @@ def curve(family: str, points: int, n: int, *, cap_min: float = 0.01,
     """
     if family not in CURVE_FAMILIES:
         raise ValueError(f"family must be one of {CURVE_FAMILIES}, got {family!r}")
+    if e_grid < 1:
+        raise ValueError(f"e_grid must be at least 1, got {e_grid}")
     caps = [float(cap) for cap in _capacity_grid(points, cap_min, cap_max)]
     if family == "universal":
         means = [_family_minima(cap, e_grid, n) for cap in caps]

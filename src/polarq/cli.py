@@ -122,7 +122,7 @@ def cmd_construct(args) -> None:
         raise ValueError(f"rate {args.rate} does not give an integral k at N={size}")
     family = _synthesized_family(channel, quantizer, args.n)
     info = choose_info_set(family, k)
-    code = PolarCode(n=args.n, info_set=frozenset(int(i) for i in info))
+    code = PolarCode(n=args.n, info_set=info)
     write_code_file(args.out, code, args.channel, args.quantizer)
 
 

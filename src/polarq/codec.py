@@ -63,7 +63,11 @@ _TILE = 1 << 15
 
 @dataclass(frozen=True)
 class PolarCode:
-    """Block exponent ``n`` (N = 2**n) plus the information index set; frozen bits are 0."""
+    """Block exponent ``n`` (N = 2**n) plus the information index set; frozen bits are 0.
+
+    Indices must be Python or numpy integers: a float or a bool is refused
+    rather than truncated, which could merge two indices into one.
+    """
 
     n: int
     info_set: frozenset = field(default_factory=frozenset)
@@ -71,7 +75,10 @@ class PolarCode:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"block exponent must be nonnegative, got {self.n}")
-        info = frozenset(int(i) for i in self.info_set)
+        given = tuple(self.info_set)
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in given):
+            raise ValueError("information indices must be integers")
+        info = frozenset(int(i) for i in given)
         if any(i < 0 or i >= self.block_length for i in info):
             raise ValueError("information index out of range")
         object.__setattr__(self, "info_set", info)

@@ -149,6 +149,9 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             bounds_series_mc(BSC11, 5, 10, seed=0)
+        # a negative depth once returned the level-0 values
+        with pytest.raises(ValueError, match="nonnegative"):
+            bounds_series_mc(BSC11, -3, 1000, seed=0)
 
 
 class TestUniversalBound:
@@ -258,9 +261,16 @@ class TestCurve:
                 assert max(paper, 0.0) - 1e-12 <= lo
                 assert lo <= bounds_series(d0, 20).upper[-1] + 1e-12
 
-    def test_unknown_family(self):
+    def test_unknown_family(self, monkeypatch):
         with pytest.raises(ValueError):
             curve("laplace", 5, 8)
+        # e_grid < 1 is refused for every family, before any root is solved
+        with monkeypatch.context() as patch:
+            for name in ("_bsc_for_capacity", "_bawgn_for_capacity"):
+                patch.setattr(bounds, name, None)
+            for family in bounds.CURVE_FAMILIES:
+                with pytest.raises(ValueError, match="e_grid"):
+                    curve(family, 2, 4, e_grid=-1)
         with pytest.raises(ValueError, match="nonnegative"):
             curve("bsc", 1, -1)
         with pytest.raises(ValueError, match="nonnegative"):

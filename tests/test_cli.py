@@ -46,7 +46,9 @@ class TestBoundsCommand:
         for argv in (("bounds", "--channel", "bsc:0.8", "--n", "4"),
                      ("curve", "--family", "bsc", "--points", "1", "--n", "-1"),
                      ("curve", "--family", "universal", "--points", "1", "--n", "4",
-                      "--e-grid", "0")):
+                      "--e-grid", "0"),
+                     ("curve", "--family", "bsc", "--points", "2", "--n", "4",
+                      "--e-grid", "-1")):
             assert run(*argv, "--out", str(out)) == 2
             assert not out.exists()
             assert "polarq: error" in capsys.readouterr().err

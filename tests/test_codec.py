@@ -539,6 +539,17 @@ class TestPolarCode:
         with pytest.raises(ValueError):
             PolarCode(n=2, info_set=frozenset({4}))
 
+    # a float or bool index was truncated by int(), so {1.5, 1} became {1}
+    @pytest.mark.parametrize("info_set", [{1.5, 1}, [1.7], {True}, [3.0], [np.float64(2.0)],
+                                          [np.bool_(True)]])
+    def test_non_integer_indices_refused(self, info_set):
+        with pytest.raises(ValueError, match="integers"):
+            PolarCode(n=2, info_set=info_set)
+
+    def test_integer_index_kinds_accepted(self):
+        for info_set in (range(1, 3), {1, 2}, [np.int64(1), np.uint8(2)], np.array([2, 1])):
+            assert PolarCode(n=2, info_set=info_set).info_set == frozenset({1, 2})
+
     def test_rate(self):
         code = PolarCode(n=3, info_set=frozenset({0, 1, 2, 3}))
         assert code.rate == 0.5

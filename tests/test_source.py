@@ -1,6 +1,7 @@
 """Static checks on the package source, for want of an installed linter."""
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -57,3 +58,86 @@ def test_every_traced_name_resolves():
                if tracing._resolve(module, attribute) is None]
     assert missing == []
     assert tracing._resolve("polarq.channels", "BSC.no_such_method") is None
+
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _is_module(name):
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+def polarq_names(paths):
+    """Sorted ``module:name`` pairs that the sources import from or read off polarq.
+
+    The sources are parsed, not imported.  A name counts when a
+    ``from polarq... import`` names it, or when an attribute is read off a
+    name bound to a polarq module by ``import polarq...`` or by a
+    ``from polarq... import`` of a submodule.
+    """
+    pairs = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # bound name -> polarq module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "polarq":
+                        bound = alias.asname or "polarq"
+                        modules[bound] = alias.name if alias.asname else "polarq"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "polarq":
+                for alias in node.names:
+                    pairs.add(f"{node.module}:{alias.name}")
+                    if _is_module(f"{node.module}.{alias.name}"):
+                        modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+        def module_of(node):
+            if isinstance(node, ast.Name):
+                return modules.get(node.id)
+            if isinstance(node, ast.Attribute):
+                owner = module_of(node.value)
+                if owner is not None and _is_module(f"{owner}.{node.attr}"):
+                    return f"{owner}.{node.attr}"
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = module_of(node.value)
+                if owner is not None:
+                    pairs.add(f"{owner}:{node.attr}")
+    return sorted(pairs)
+
+
+def unresolved(pairs):
+    """The ``module:name`` pairs that name neither an attribute nor a submodule."""
+    return [pair for pair in pairs
+            if not hasattr(importlib.import_module(pair.split(":")[0]), pair.split(":")[1])
+            and not _is_module(pair.replace(":", "."))]
+
+
+def test_every_benchmark_name_resolves():
+    # the benchmark imports and reads these names; one that a refactor
+    # drops passes this suite but breaks the benchmark
+    names = polarq_names(sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py")))
+    assert len(names) >= 20
+    assert {"polarq.bounds:_universal_bracket", "polarq.sim:_trial_stream",
+            "polarq.cli:DEFAULT_GRID"} <= set(names)
+    assert unresolved(names) == []
+
+
+def test_missing_benchmark_name_is_flagged(tmp_path):
+    source = tmp_path / "bench.py"
+    source.write_text("import polarq\nimport polarq.sim as s\nfrom polarq import cli, gone\n"
+                      "from polarq.bounds import curve\n\n"
+                      "x = (cli.main, cli.NO_SUCH, s._trial_stream, polarq.codec.nothing)\n"
+                      "cli.NEW = 1\n")
+    names = polarq_names([source])
+    assert names == ["polarq.bounds:curve", "polarq.cli:NO_SUCH", "polarq.cli:main",
+                     "polarq.codec:nothing", "polarq.sim:_trial_stream", "polarq:cli",
+                     "polarq:codec", "polarq:gone"]
+    assert unresolved(names) == ["polarq.cli:NO_SUCH", "polarq.codec:nothing", "polarq:gone"]
