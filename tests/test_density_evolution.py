@@ -231,12 +231,12 @@ def _random_rows(rng, count, n_levels):
     return rows
 
 
-def _full_pair_check(rows, others, spec):
-    """Check-node law of each row with the same row of ``others``, summed
-    over all |Q|^2 pairs one row at a time."""
+def _full_pair_check(rows, spec):
+    """Check-node law of each row with an independent copy of itself,
+    summed over all |Q|^2 pairs one row at a time."""
     table = _check_index_table(spec).ravel()
-    return np.array([np.bincount(table, np.outer(r, o).ravel(), minlength=spec.n_levels)
-                     for r, o in zip(rows, others)])
+    return np.array([np.bincount(table, np.outer(r, r).ravel(), minlength=spec.n_levels)
+                     for r in rows])
 
 
 # |Q| = 3..65 and 2001 at M = 8, delta = 0.01 at M = 10, and the specs the
@@ -274,7 +274,7 @@ class TestPairKernels:
         rows /= rows.sum(axis=1, keepdims=True)
         monkeypatch.setattr(density_evolution, "_PAIR_BLOCK", pair_block)
         got = _de_check_vec(rows, spec)
-        want = _full_pair_check(rows, rows, spec)
+        want = _full_pair_check(rows, spec)
         # both sums add the same nonnegative products, so neither cancels;
         # they round in different orders, which on these laws moved no mass
         # by more than one ulp of the law's mass 1, so 4 ulps leaves room
@@ -292,8 +292,7 @@ class TestPairKernels:
         spec = _spec_with(n_levels)
         d0 = quantize_density(channel.llr_density(), spec)
         got = synthesize(d0, n, spec).error_probs()
-        monkeypatch.setattr(density_evolution, "_de_check_vec",
-                            lambda rows, s: _full_pair_check(rows, rows, s))
+        monkeypatch.setattr(density_evolution, "_de_check_vec", _full_pair_check)
         want = synthesize(d0, n, spec).error_probs()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

@@ -60,7 +60,6 @@ def test_every_traced_name_resolves():
     assert tracing._resolve("polarq.channels", "BSC.no_such_method") is None
 
 
-
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -87,9 +86,10 @@ def polarq_names(paths):
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name.split(".")[0] == "polarq":
-                        bound = alias.asname or "polarq"
-                        modules[bound] = alias.name if alias.asname else "polarq"
+                    if alias.asname and alias.name.split(".")[0] == "polarq":
+                        modules[alias.asname] = alias.name
+                    elif alias.name.split(".")[0] == "polarq":
+                        modules["polarq"] = "polarq"
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "polarq":
                 for alias in node.names:
                     pairs.add(f"{node.module}:{alias.name}")
@@ -115,9 +115,13 @@ def polarq_names(paths):
 
 def unresolved(pairs):
     """The ``module:name`` pairs that name neither an attribute nor a submodule."""
-    return [pair for pair in pairs
-            if not hasattr(importlib.import_module(pair.split(":")[0]), pair.split(":")[1])
-            and not _is_module(pair.replace(":", "."))]
+    missing = []
+    for pair in pairs:
+        module, name = pair.split(":")
+        found = hasattr(importlib.import_module(module), name) or _is_module(f"{module}.{name}")
+        if not found:
+            missing.append(pair)
+    return missing
 
 
 def test_every_benchmark_name_resolves():
