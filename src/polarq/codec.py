@@ -155,7 +155,10 @@ def check_llrs(a, b):
     # each step writes into mag, other or lo, so at most six input-sized
     # arrays are live at once: per tile in the decoder, and per call on a
     # check table's quadrant (|Q| = 2001 is 1M pairs)
-    with np.errstate(invalid="ignore", divide="ignore"):  # both infinite
+    # invalid and divide: both inputs infinite.  over: |a| + |b| past the
+    # float maximum rounds to inf, the correctly rounded sum, and exp(-inf)
+    # = 0 is then the correctly rounded exp(-(|a| + |b|))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mag = np.add(abs_a, abs_b, out=np.empty(shape))
         np.log1p(np.exp(np.negative(mag, out=mag), out=mag), out=mag)
         other = np.subtract(abs_a, abs_b, out=np.empty(shape))
@@ -203,7 +206,9 @@ def _check_index_table(spec: QuantizerSpec) -> np.ndarray:
 def var_llrs(a, b, flip):
     """Variable combine b + (-1)**flip * a with inf + (-inf) = 0."""
     out = np.where(flip, -np.asarray(a, dtype=float), a)
-    with np.errstate(invalid="ignore"):  # opposite infinities cancel to 0
+    # opposite infinities cancel to 0; a finite sum past the float maximum
+    # rounds to inf, which is the correctly rounded result
+    with np.errstate(invalid="ignore", over="ignore"):
         np.add(b, out, out=out)
     np.putmask(out, np.isnan(out), 0.0)
     return out

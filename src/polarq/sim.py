@@ -6,6 +6,20 @@ so any worker can regenerate any trial independently and results do not
 depend on how trials are split across workers.  Trials are aggregated with
 integer counters in fixed chunk order, which keeps reports bit-identical
 for any thread count.
+
+``_trial_stream`` is the reference definition of a trial's stream.  A chunk
+derives the same streams in bulk instead of building a SeedSequence and a
+PCG64 per trial.  SeedSequence's hash is uint32 multiply/xor-shift
+arithmetic: the seed's words are mixed once in Python, then each trial's
+spawn word is mixed, and the pool expanded to four uint64 seed words, as
+numpy uint32 operations over the chunk's trial indices.  PCG64's set-seed
+step (two 128-bit LCG steps) runs per trial in Python ints, and its result
+is assigned to one PCG64 reused for the whole chunk.  The tie coins are
+drawn as raw words: at range 2 numpy's bounded uint8 draw never rejects and
+keeps the top bit of each little-endian byte of ceil(N/4) next_uint32 words,
+which is what the bytes of N/8 raw 64-bit words shifted right by 7 give.
+tests/test_sim.py compares both with numpy, so a numpy change that moved
+either would fail there instead of silently moving every stream.
 """
 
 from __future__ import annotations
@@ -13,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,6 +41,15 @@ from .quantizer import quantize as quantize, sign_quantize as sign_quantize  # t
 
 _Z95 = 1.959963984540054
 _CHUNK = 4096  # fixed, so chunked results never depend on worker count
+
+# SeedSequence's hash constants and PCG64's LCG multiplier, as in numpy
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass
@@ -75,22 +99,101 @@ def _trial_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
+def _uint32_words(value) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative integer, low word first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(const, mult):
+    """SeedSequence's running hash constant, before and after each hash."""
+    while True:
+        after = const * mult & _MASK32
+        yield const, after
+        const = after
+
+
+# values are Python ints below 2**32 or uint32 arrays; both wrap alike
+def _hashmix(value, consts):
+    const, after = next(consts)
+    value = (value ^ const) * after & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _chunk_states(seed: int, start: int, stop: int):
+    """PCG64 states of the streams ``_trial_stream`` gives trials start..stop-1."""
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))  # padded because a spawn key follows
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in run[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in run[_POOL_SIZE:]:
+        pool = [_mix(p, _hashmix(word, consts)) for p in pool]
+    # the spawn key, one word per trial below 2**32, mixed over the whole chunk
+    trials = np.arange(start, stop, dtype=np.uint64)
+    low = (trials & _MASK32).astype(np.uint32)
+    pool = [_mix(np.full(trials.size, p, dtype=np.uint32), _hashmix(low, consts))
+            for p in pool]
+    high = (trials >> 32).astype(np.uint32)
+    if high.any():  # from 2**32 on the key has a second word
+        pool = [np.where(high > 0, _mix(p, _hashmix(high, consts)), p)
+                for p in pool]
+    # generate_state(4, np.uint64): eight words cycled from the pool, paired low first
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64)
+             for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (state[i] | state[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2))
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        # pcg64_set_seed: from state 0, step, add the seed, step
+        value = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": value, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def _run_chunk(code, channel, spec, signs, seed, start, stop, genie,
                random_messages=False):
     size = code.block_length
     batch = stop - start
     llrs = np.empty((batch, size))
-    ties = np.empty((batch, size), dtype=np.uint8)
+    # one tie coin per byte of next_uint32 words; the bytes are shifted in place
+    words = -(-size // 4)
+    coin_words = np.empty((batch, words), dtype="<u4")
+    # an odd count ends on half a raw word, which the reference stream keeps buffered
+    raw = coin_words.view("<u8") if words % 2 == 0 else None
     messages = None
     if random_messages:
         messages = np.zeros((batch, size), dtype=np.uint8)
     info = code.info_indices()
-    for row, trial in enumerate(range(start, stop)):
-        rng = _trial_stream(seed, trial)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for row, state in enumerate(_chunk_states(seed, start, stop)):
+        bits.state = state
         llrs[row] = channel.sample_llr(rng, size=size)
-        ties[row] = rng.integers(0, 2, size=size, dtype=np.uint8)
+        if raw is not None:
+            raw[row] = bits.random_raw(words // 2)
+        else:
+            coin_words[row] = rng.integers(0, 1 << 32, size=words, dtype=np.uint32)
         if random_messages and info.size:
             messages[row, info] = rng.integers(0, 2, size=info.size, dtype=np.uint8)
+    coins = coin_words.view(np.uint8)
+    coins >>= 7  # integers(0, 2, dtype=uint8) keeps each byte's top bit
+    ties = coins[:, :size]
     if random_messages:
         # by channel symmetry a transmitted 1 mirrors the all-zero LLR law
         llrs *= 1.0 - 2.0 * encode(messages)

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from polarq.channels import BEC, BSC
+from polarq import sim
+from polarq.channels import BAWGN, BEC, BSC, channel_from_triple
 from polarq.cli import main, read_code_file
-from polarq.codec import PolarCode
+from polarq.codec import PolarCode, _sc_batch, encode
 from polarq.density_evolution import choose_info_set, synthesize, synthesize_triples
 from polarq.quantizer import QuantizerSpec, quantize_density
 from polarq.sim import (
     TrialReport,
     genie_bit_errors,
+    _chunk_states,
+    _trial_stream,
     simulate_block_error,
     union_bound,
 )
@@ -219,3 +222,141 @@ class TestUnionBound:
         code = PolarCode(n=n, info_set=info)
         rep = genie_bit_errors(code, ch, "erasure", trials, seed=6)
         assert rep.bler <= union_bound(fam, info) + 3 * rep.ci95
+
+
+def _numpy_state(seed, trial):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))).state
+
+
+def _live_state(rng):
+    """What a Generator's next draws depend on: the buffered half word only if set."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"] * state["has_uint32"]
+
+
+def _reference_chunk(code, channel, spec, signs, seed, start, stop, genie, random_messages):
+    """The chunk as one _trial_stream per trial gives it: inputs and counts."""
+    size = code.block_length
+    info = code.info_indices()
+    llrs = np.empty((stop - start, size))
+    ties = np.empty((stop - start, size), dtype=np.uint8)
+    messages = np.zeros((stop - start, size), dtype=np.uint8) if random_messages else None
+    for row, trial in enumerate(range(start, stop)):
+        rng = _trial_stream(seed, trial)
+        llrs[row] = channel.sample_llr(rng, size=size)
+        ties[row] = rng.integers(0, 2, size=size, dtype=np.uint8)
+        if random_messages:
+            messages[row, info] = rng.integers(0, 2, size=info.size, dtype=np.uint8)
+    if random_messages:
+        llrs *= 1.0 - 2.0 * encode(messages)
+    u_hat, _, errors = _sc_batch(llrs, code, ties, spec=spec, signs=signs, genie=genie,
+                                 discard_roots=True)
+    if genie:
+        counts = (int(errors[:, info].any(axis=1).sum()), errors.sum(axis=0))
+    else:
+        reference = messages if random_messages else 0
+        counts = (int((u_hat != reference)[:, info].any(axis=1).sum()), None)
+    return llrs, ties, messages, counts
+
+
+class TestChunkStreams:
+    """_run_chunk derives every trial's stream in bulk; _trial_stream defines it.
+
+    These compare the bulk derivation with numpy's own SeedSequence, PCG64 and
+    bounded integers, so that a numpy change that moves either fails here.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**40])
+    def test_states_match_numpy(self, seed):
+        sampled = np.random.default_rng(seed % 997).integers(0, 2**31, size=16).tolist()
+        for trial in sampled + [2**32 - 1, 2**32, 2**40]:
+            got, = _chunk_states(seed, trial, trial + 1)
+            assert got == _numpy_state(seed, trial), trial
+        # chunks across 2**32 mix one- and two-word spawn keys
+        for start, stop in ((0, 40), (4093, 4100), (2**32 - 3, 2**32 + 3)):
+            got = list(_chunk_states(seed, start, stop))
+            assert got == [_numpy_state(seed, t) for t in range(start, stop)], (start, stop)
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8, 1024])
+    def test_raw_word_ties_match_integers(self, size):
+        # _run_chunk draws the coins as next_uint32 words, raw 64-bit words
+        # when their count is even, and keeps the top bit of every byte
+        words = -(-size // 4)
+        for trial in range(5):
+            want = _trial_stream(3, trial)
+            got = _trial_stream(3, trial)
+            want.random(size)
+            got.random(size)
+            coins = want.integers(0, 2, size=size, dtype=np.uint8)
+            buf = np.empty(words, dtype="<u4")
+            if words % 2:
+                buf[:] = got.integers(0, 1 << 32, size=words, dtype=np.uint32)
+            else:
+                buf.view("<u8")[:] = got.bit_generator.random_raw(words // 2)
+            assert np.array_equal(buf.view(np.uint8)[:size] >> 7, coins)
+            assert _live_state(got) == _live_state(want)
+        if words % 2:
+            # why odd counts avoid raw words: the last word's high half stays buffered
+            rng = _trial_stream(3, 0)
+            rng.integers(0, 2, size=size, dtype=np.uint8)
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("channel", [BSC(0.11), BEC(0.4), BAWGN(0.9),
+                                         channel_from_triple(0.7, 0.2, 0.1)], ids=str)
+    def test_sampling_leaves_no_half_word(self, channel):
+        rng = _trial_stream(0, 0)
+        channel.sample_llr(rng, size=7)
+        assert rng.bit_generator.state["has_uint32"] == 0
+
+    @pytest.mark.parametrize("start", [0, 4093])
+    @pytest.mark.parametrize("genie, random_messages", [(False, False), (False, True),
+                                                        (True, False)],
+                             ids=["all-zero", "random-messages", "genie"])
+    @pytest.mark.parametrize("channel, decoder", [
+        (BSC(0.11), QuantizerSpec(delta=1.0, m_sat=8.0)), (BEC(0.4), "erasure"),
+        (BAWGN(0.9), "exact")], ids=["bsc", "bec", "bawgn"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
+    def test_chunk_matches_reference_loop(self, monkeypatch, n, channel, decoder, genie,
+                                          random_messages, start):
+        size = 1 << n
+        code = PolarCode(n=n, info_set=frozenset(range(size // 2, size)))
+        _, spec, signs = sim._normalize_decoder(decoder)
+        stop = start + 7
+        seen = {}
+
+        def spy_encode(u):
+            seen["messages"] = u.copy()
+            return encode(u)
+
+        def spy_sc_batch(llrs, code, ties, **kwargs):
+            seen["llrs"], seen["ties"] = llrs.copy(), ties.copy()
+            return _sc_batch(llrs, code, ties, **kwargs)
+
+        monkeypatch.setattr(sim, "encode", spy_encode)
+        monkeypatch.setattr(sim, "_sc_batch", spy_sc_batch)
+        got = sim._run_chunk(code, channel, spec, signs, 11, start, stop, genie,
+                             random_messages=random_messages)
+        llrs, ties, messages, counts = _reference_chunk(code, channel, spec, signs, 11, start,
+                                                        stop, genie, random_messages)
+        assert np.array_equal(seen["llrs"], llrs)
+        assert np.array_equal(seen["ties"], ties)
+        if random_messages:
+            assert np.array_equal(seen["messages"], messages)
+        assert got[0] == counts[0]
+        if genie:
+            assert np.array_equal(got[1], counts[1])
+        else:
+            assert got[1] is None
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        code, _ = make_code(3, 4, BEC(0.3))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            simulate_block_error(code, BEC(0.3), "erasure", 10, seed=-1)
+        path = tmp_path / "code.txt"
+        assert main(["construct", "--channel", "bec:0.3", "--quantizer", "q:sign", "--n", "3",
+                     "--rate", "0.5", "--out", str(path)]) == 0
+        assert main(["simulate", "--code", str(path), "--channel", "bec:0.3", "--decoder",
+                     "erasure", "--trials", "10", "--seed", "-1",
+                     "--out", str(tmp_path / "sim.csv")]) == 2
+        assert "expected non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
