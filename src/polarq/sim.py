@@ -119,7 +119,7 @@ def _hash_consts(const, mult):
         const = after
 
 
-# values are Python ints below 2**32 or uint32 arrays; both wrap alike
+# values are Python ints below 2**32 or uint32 arrays; the masks wrap the ints as arrays wrap
 def _hashmix(value, consts):
     const, after = next(consts)
     value = (value ^ const) * after & _MASK32
