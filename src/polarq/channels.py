@@ -190,12 +190,7 @@ class ChannelModel(abc.ABC):
 
     @abc.abstractmethod
     def sample_llr(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        """Draw an array of ``size`` LLR observations under the all-zero input.
-
-        Draw whole 64-bit words only, as ``random``, ``standard_normal`` and
-        ``choice`` with ``p`` do: ``simulate`` takes each trial's tie coins
-        from the raw words that follow, which would skip a buffered half word.
-        """
+        """Draw an array of ``size`` LLR observations under the all-zero input."""
 
     @abc.abstractmethod
     def spec_string(self) -> str:

@@ -15,9 +15,11 @@ spawn word is mixed, and the pool expanded to four uint64 seed words, as
 numpy uint32 operations over the chunk's trial indices.  PCG64's set-seed
 step (two 128-bit LCG steps) runs per trial in Python ints, and its result
 is assigned to one PCG64 reused for the whole chunk.  The tie coins are
-drawn as raw words: at range 2 numpy's bounded uint8 draw never rejects and
-keeps the top bit of each little-endian byte of ceil(N/4) next_uint32 words,
-which is what the bytes of N/8 raw 64-bit words shifted right by 7 give.
+drawn as whole uint32 words: at range 2 numpy's bounded uint8 draw never
+rejects and keeps the top bit of each little-endian byte of ceil(N/4)
+next_uint32 words, so the chunk draws those words with
+``integers(0, 2**32, dtype=uint32)``, which reads a buffered half word first
+just as the uint8 draw does, and shifts their bytes right by 7.
 tests/test_sim.py compares both with numpy, so a numpy change that moved
 either would fail there instead of silently moving every stream.
 """
@@ -174,8 +176,6 @@ def _run_chunk(code, channel, spec, signs, seed, start, stop, genie,
     # one tie coin per byte of next_uint32 words; the bytes are shifted in place
     words = -(-size // 4)
     coin_words = np.empty((batch, words), dtype="<u4")
-    # an odd count ends on half a raw word, which the reference stream keeps buffered
-    raw = coin_words.view("<u8") if words % 2 == 0 else None
     messages = None
     if random_messages:
         messages = np.zeros((batch, size), dtype=np.uint8)
@@ -185,10 +185,7 @@ def _run_chunk(code, channel, spec, signs, seed, start, stop, genie,
     for row, state in enumerate(_chunk_states(seed, start, stop)):
         bits.state = state
         llrs[row] = channel.sample_llr(rng, size=size)
-        if raw is not None:
-            raw[row] = bits.random_raw(words // 2)
-        else:
-            coin_words[row] = rng.integers(0, 1 << 32, size=words, dtype=np.uint32)
+        coin_words[row] = rng.integers(0, 1 << 32, size=words, dtype=np.uint32)
         if random_messages and info.size:
             messages[row, info] = rng.integers(0, 2, size=info.size, dtype=np.uint8)
     coins = coin_words.view(np.uint8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polarq import sim
-from polarq.channels import BAWGN, BEC, BSC, channel_from_triple
+from polarq.channels import BAWGN, BEC, BSC
 from polarq.cli import main, read_code_file
 from polarq.codec import PolarCode, _sc_batch, encode
 from polarq.density_evolution import choose_info_set, synthesize, synthesize_triples
@@ -277,36 +277,25 @@ class TestChunkStreams:
             got = list(_chunk_states(seed, start, stop))
             assert got == [_numpy_state(seed, t) for t in range(start, stop)], (start, stop)
 
+    @pytest.mark.parametrize("before", ["whole-words", "half-word-buffered"])
     @pytest.mark.parametrize("size", [1, 2, 4, 8, 1024])
-    def test_raw_word_ties_match_integers(self, size):
-        # _run_chunk draws the coins as next_uint32 words, raw 64-bit words
-        # when their count is even, and keeps the top bit of every byte
+    def test_word_ties_match_integers(self, size, before):
+        # _run_chunk draws the coins as ceil(size/4) uint32 words and keeps
+        # the top bit of every byte; a half word buffered by the draws before
+        # them is read first, as integers(0, 2, dtype=uint8) reads it
         words = -(-size // 4)
         for trial in range(5):
             want = _trial_stream(3, trial)
             got = _trial_stream(3, trial)
-            want.random(size)
-            got.random(size)
+            for rng in (want, got):
+                if before == "whole-words":
+                    rng.random(size)
+                else:
+                    rng.integers(0, 1 << 32, size=3, dtype=np.uint32)
             coins = want.integers(0, 2, size=size, dtype=np.uint8)
-            buf = np.empty(words, dtype="<u4")
-            if words % 2:
-                buf[:] = got.integers(0, 1 << 32, size=words, dtype=np.uint32)
-            else:
-                buf.view("<u8")[:] = got.bit_generator.random_raw(words // 2)
+            buf = got.integers(0, 1 << 32, size=words, dtype=np.uint32).astype("<u4")
             assert np.array_equal(buf.view(np.uint8)[:size] >> 7, coins)
             assert _live_state(got) == _live_state(want)
-        if words % 2:
-            # why odd counts avoid raw words: the last word's high half stays buffered
-            rng = _trial_stream(3, 0)
-            rng.integers(0, 2, size=size, dtype=np.uint8)
-            assert rng.bit_generator.state["has_uint32"] == 1
-
-    @pytest.mark.parametrize("channel", [BSC(0.11), BEC(0.4), BAWGN(0.9),
-                                         channel_from_triple(0.7, 0.2, 0.1)], ids=str)
-    def test_sampling_leaves_no_half_word(self, channel):
-        rng = _trial_stream(0, 0)
-        channel.sample_llr(rng, size=7)
-        assert rng.bit_generator.state["has_uint32"] == 0
 
     @pytest.mark.parametrize("start", [0, 4093])
     @pytest.mark.parametrize("genie, random_messages", [(False, False), (False, True),
@@ -347,6 +336,32 @@ class TestChunkStreams:
             assert np.array_equal(got[1], counts[1])
         else:
             assert got[1] is None
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_chunk_matches_reference_after_half_word(self, monkeypatch, n):
+        # a channel whose sampling ends on half a 64-bit word: the tie coins
+        # and messages must still read that buffered half word first
+        class HalfWordBSC(BSC):
+            def sample_llr(self, rng, size):
+                rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
+                return super().sample_llr(rng, size)
+
+        channel = HalfWordBSC(0.11)
+        size = 1 << n
+        code = PolarCode(n=n, info_set=frozenset(range(size // 2, size)))
+        seen = {}
+
+        def spy_sc_batch(llrs, code, ties, **kwargs):
+            seen["llrs"], seen["ties"] = llrs.copy(), ties.copy()
+            return _sc_batch(llrs, code, ties, **kwargs)
+
+        monkeypatch.setattr(sim, "_sc_batch", spy_sc_batch)
+        got = sim._run_chunk(code, channel, None, True, 11, 5, 12, False, random_messages=True)
+        llrs, ties, _, counts = _reference_chunk(code, channel, None, True, 11, 5, 12, False,
+                                                 True)
+        assert np.array_equal(seen["llrs"], llrs)
+        assert np.array_equal(seen["ties"], ties)
+        assert got[0] == counts[0]
 
     def test_negative_seed_refused(self, tmp_path, capsys):
         code, _ = make_code(3, 4, BEC(0.3))
