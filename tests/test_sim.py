@@ -259,6 +259,14 @@ def _reference_chunk(code, channel, spec, signs, seed, start, stop, genie, rando
     return llrs, ties, messages, counts
 
 
+class _HalfWordBSC(BSC):
+    """A BSC whose sampling leaves half a 64-bit word buffered for the next draw."""
+
+    def sample_llr(self, rng, size):
+        rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
+        return super().sample_llr(rng, size)
+
+
 class TestChunkStreams:
     """_run_chunk derives every trial's stream in bulk; _trial_stream defines it.
 
@@ -303,7 +311,8 @@ class TestChunkStreams:
                              ids=["all-zero", "random-messages", "genie"])
     @pytest.mark.parametrize("channel, decoder", [
         (BSC(0.11), QuantizerSpec(delta=1.0, m_sat=8.0)), (BEC(0.4), "erasure"),
-        (BAWGN(0.9), "exact")], ids=["bsc", "bec", "bawgn"])
+        (BAWGN(0.9), "exact"), (_HalfWordBSC(0.11), "erasure")],
+        ids=["bsc", "bec", "bawgn", "bsc-half-word"])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
     def test_chunk_matches_reference_loop(self, monkeypatch, n, channel, decoder, genie,
                                           random_messages, start):
@@ -336,32 +345,6 @@ class TestChunkStreams:
             assert np.array_equal(got[1], counts[1])
         else:
             assert got[1] is None
-
-    @pytest.mark.parametrize("n", [1, 3, 10])
-    def test_chunk_matches_reference_after_half_word(self, monkeypatch, n):
-        # a channel whose sampling ends on half a 64-bit word: the tie coins
-        # and messages must still read that buffered half word first
-        class HalfWordBSC(BSC):
-            def sample_llr(self, rng, size):
-                rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
-                return super().sample_llr(rng, size)
-
-        channel = HalfWordBSC(0.11)
-        size = 1 << n
-        code = PolarCode(n=n, info_set=frozenset(range(size // 2, size)))
-        seen = {}
-
-        def spy_sc_batch(llrs, code, ties, **kwargs):
-            seen["llrs"], seen["ties"] = llrs.copy(), ties.copy()
-            return _sc_batch(llrs, code, ties, **kwargs)
-
-        monkeypatch.setattr(sim, "_sc_batch", spy_sc_batch)
-        got = sim._run_chunk(code, channel, None, True, 11, 5, 12, False, random_messages=True)
-        llrs, ties, _, counts = _reference_chunk(code, channel, None, True, 11, 5, 12, False,
-                                                 True)
-        assert np.array_equal(seen["llrs"], llrs)
-        assert np.array_equal(seen["ties"], ties)
-        assert got[0] == counts[0]
 
     def test_negative_seed_refused(self, tmp_path, capsys):
         code, _ = make_code(3, 4, BEC(0.3))
