@@ -141,6 +141,7 @@ def _walk_levels(p0, e0, m0, n: int, first: int) -> np.ndarray:
                 walk(j + 1, *(c[:, start:start + _BLOCK] for c in children))
 
     walk(0, *(np.full((1, 1), x, dtype=float) for x in (p0, e0, m0)))
+    del walk  # it holds itself through its closure, and with it ``sums``, until collected
     sums[:first] = np.nan
     return sums / 2.0 ** np.arange(n + 1)[:, None]
 

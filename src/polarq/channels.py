@@ -133,10 +133,11 @@ class LlrDensity:
             raise ValueError("alphabet must be strictly increasing")
         if not np.array_equal(alphabet, -alphabet[::-1]):
             raise ValueError("alphabet must be antisymmetric about 0")
-        if np.any(probs < -1e-15):
+        # written so that NaN fails both checks
+        if not np.all(probs >= -1e-15):
             raise ValueError("probabilities must be nonnegative")
         total = probs.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
         probs = np.maximum(probs, 0.0)
         alphabet.setflags(write=False)

@@ -115,6 +115,8 @@ def cmd_construct(args) -> None:
     quantizer = parse_quantizer(args.quantizer)
     if args.n < 0:
         raise ValueError(f"n must be nonnegative, got {args.n}")
+    if not math.isfinite(args.rate):
+        raise ValueError(f"rate must be finite, got {args.rate}")
     size = 1 << args.n
     k_real = args.rate * size
     k = round(k_real)

@@ -24,7 +24,9 @@ built and the check index is computed per pair.
 ``_sc_batch`` runs node-major: messages are (N, trials) arrays, so the two
 halves of every node are contiguous row blocks, and a node op over more
 than ``_TILE`` messages runs in row tiles whose temporaries stay in cache.
-Its outputs are transposed back to (trials, N).
+The partial sums are one (N, trials) array updated in place, the beta array
+of Leroux et al. (ICASSP 2011).  The outputs are transposed back to
+(trials, N).
 
 A caller that discards the roots outside genie mode (``sim``'s block-error
 runs) has ``_sc_batch`` skip every subtree whose indices are all frozen, as
@@ -293,7 +295,12 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
     The recursion runs node-major: the mapped inputs and the tie coins are
     transposed once to (N, trials), so every node's halves are contiguous
     row blocks.  A node op over more than ``_TILE`` messages runs a tile of
-    rows at a time, which keeps its temporaries in cache.
+    rows at a time, which keeps its temporaries in cache.  The partial sums
+    are one (N, trials) uint8 array, allocated once: a leaf writes its
+    decision into it as well as into u_hat, the var op reads the left
+    half's rows as its flips, and once the right subtree returns the node
+    XORs the right half's rows into the left half's.  Rows nobody writes,
+    frozen indices and every row in genie mode, stay 0.
 
     With ``discard_roots`` the roots come back as None and, outside genie
     mode, a subtree whose indices are all frozen is not evaluated: its
@@ -329,6 +336,7 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
     ties = _transposed(tie_bits)
     info_mask = code.info_mask()
     u_hat = np.zeros((size, batch), dtype=np.uint8)
+    psums = np.zeros((size, batch), dtype=np.uint8)
     roots = None if discard_roots else np.empty((size, batch), dtype=llrs.dtype)
     errors = np.zeros((size, batch), dtype=bool) if genie else None
     skip = discard_roots and not genie
@@ -347,7 +355,7 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
         return out
 
     def frozen(base, length):
-        # the rows of u_hat stay 0 there, and serve as the subtree's partial sums
+        # its decisions and partial sums are never written, so they stay 0
         return skip and info_before[base + length] == info_before[base]
 
     def descend(block, base):
@@ -357,22 +365,24 @@ def _sc_batch(llrs, code: PolarCode, tie_bits, *, spec: QuantizerSpec | None = N
                 roots[base] = stat
             hard = (stat < 0) | ((stat == 0) & (ties[base] == 1))
             if genie:
-                errors[base] = hard  # u_hat stays 0: prior decisions forced correct
+                errors[base] = hard  # u_hat and psums stay 0: prior decisions forced correct
             elif info_mask[base]:
-                u_hat[base] = hard
-            return u_hat[base:base + 1]
+                u_hat[base] = psums[base] = hard
+            return
         half = len(block) // 2
         a = block[:half]
         b = block[half:]
-        x_left = (u_hat[base:base + half] if frozen(base, half)
-                  else descend(node(fcheck, a, b), base))
-        # decisions are 0 or 1, so their bytes read as bool without a copy
-        x_right = (u_hat[base + half:base + 2 * half] if frozen(base + half, half)
-                   else descend(node(fvar, a, b, x_left.view(bool)), base + half))
-        return np.concatenate([x_left ^ x_right, x_right])
+        left = psums[base:base + half]
+        if not frozen(base, half):
+            descend(node(fcheck, a, b), base)
+        # partial sums are 0 or 1, so their bytes read as bool without a copy
+        if not frozen(base + half, half):
+            descend(node(fvar, a, b, left.view(bool)), base + half)
+        left ^= psums[base + half:base + 2 * half]
 
     if not frozen(0, size):
         descend(llrs, 0)
+    del descend  # it holds itself through its closure, and with it these arrays, until collected
     u_hat = _transposed(u_hat)
     errors = None if errors is None else _transposed(errors)
     if roots is not None:

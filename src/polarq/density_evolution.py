@@ -239,43 +239,32 @@ def _de_check_vec(rows: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 class SynthesizedFamily:
     """Root-message laws of all N = 2**n tree channels, in index order.
 
-    ``kind`` is "triple" (rows of (p, e, m)) or "quantized" (rows of masses
-    over ``alphabet``).
+    ``data`` holds rows of (p, e, m) triples when ``alphabet`` is None, else
+    rows of masses over ``alphabet``.
     """
 
-    n: int
-    kind: str
     data: np.ndarray
     alphabet: np.ndarray | None = None
 
     @property
+    def n(self) -> int:
+        return len(self.data).bit_length() - 1
+
+    @property
     def block_length(self) -> int:
-        return 1 << self.n
+        return len(self.data)
 
     def density(self, i: int):
-        if self.kind == "triple":
+        if self.alphabet is None:
             p, e, m = self.data[i]
             return TripleDensity(float(p), float(e), float(m))
         return LlrDensity(self.alphabet, self.data[i])
 
     def error_probs(self) -> np.ndarray:
         """Pr(root < 0) + Pr(root = 0)/2 for every index."""
-        if self.kind == "triple":
+        if self.alphabet is None:
             return _error_rate_arrays(*self.data.T)
         return _error_rate_arrays(*_sign_masses(self.alphabet, self.data))
-
-    def csv_rows(self):
-        """Rows (index, p_err[, p, e, m]) with 10 significant digits."""
-        perr = self.error_probs()
-        if self.kind == "triple":
-            yield "index,p_err,p,e,m"
-            for i in range(self.block_length):
-                p, e, m = self.data[i]
-                yield f"{i},{perr[i]:.10g},{p:.10g},{e:.10g},{m:.10g}"
-        else:
-            yield "index,p_err"
-            for i in range(self.block_length):
-                yield f"{i},{perr[i]:.10g}"
 
 
 def _index_order(block: np.ndarray) -> np.ndarray:
@@ -295,7 +284,7 @@ def synthesize_triples(d0: TripleDensity, n: int) -> SynthesizedFamily:
     p, e, m = d0.as_array()[:, None]
     for _ in range(n):
         p, e, m = _double_level(p, e, m)
-    return SynthesizedFamily(n=n, kind="triple", data=_index_order(np.stack([p, e, m], axis=1)))
+    return SynthesizedFamily(_index_order(np.stack([p, e, m], axis=1)))
 
 
 def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec) -> SynthesizedFamily:
@@ -318,8 +307,7 @@ def synthesize(d0: LlrDensity, n: int, spec: QuantizerSpec) -> SynthesizedFamily
     for _ in range(n):
         rows = np.concatenate([_de_check_vec(rows, spec), _de_var_vec(rows, rows, spec)])
         rows /= rows.sum(axis=1, keepdims=True)
-    return SynthesizedFamily(n=n, kind="quantized", data=_index_order(rows),
-                             alphabet=levels(spec))
+    return SynthesizedFamily(_index_order(rows), levels(spec))
 
 
 def bit_error_prob(density) -> float:

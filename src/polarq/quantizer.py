@@ -25,7 +25,8 @@ class QuantizerSpec:
     """Uniform quantizer with level spacing ``delta`` and saturation ``m_sat``.
 
     ``m_sat``/``delta`` must be a positive integer so the alphabet is
-    {-M, ..., -delta, 0, delta, ..., M}.
+    {-M, ..., -delta, 0, delta, ..., M}, and below 2^30: the decoder's
+    variable node sums level indices up to 2 M/delta in int32.
     """
 
     delta: float
@@ -37,6 +38,9 @@ class QuantizerSpec:
         if not (self.m_sat > 0.0 and math.isfinite(self.m_sat)):
             raise InvalidQuantizerError(f"M must be positive, got {self.m_sat}")
         ratio = self.m_sat / self.delta
+        if not ratio < 2**30:
+            raise InvalidQuantizerError(
+                f"M/delta must be below 2^30, got {self.m_sat}/{self.delta}")
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise InvalidQuantizerError(
                 f"M/delta must be a positive integer, got {self.m_sat}/{self.delta}"

@@ -179,6 +179,11 @@ class TestLlrDensity:
         with pytest.raises(ValueError):
             LlrDensity([1.0, -1.0], [0.5, 0.5])  # not increasing
 
+    @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan]])
+    def test_nan_mass_refused(self, probs):
+        with pytest.raises(ValueError):
+            LlrDensity([-1.0, 1.0], probs)
+
     def test_value_type(self):
         d = LlrDensity([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
         same = LlrDensity(alphabet=[-1.0, 0.0, 1.0], probs=[0.25, 0.5, 0.25])
@@ -350,7 +355,7 @@ class TestDiscreteAndParsing:
     def test_parse_errors(self):
         for bad in ("bec", "foo:1", "bsc:0.7", "triple:0.5,0.5", "bec:abc",
                     "discrete:0,1;", "discrete:-1,0.5;1", "discrete:-1,0.2;1,0.2",
-                    "discrete:-1,0.5;1,0.5"):
+                    "discrete:-1,0.5;1,0.5", "discrete:-1,nan;1,nan"):
             with pytest.raises(InvalidChannelError):
                 parse_channel(bad)
 

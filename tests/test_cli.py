@@ -175,6 +175,15 @@ class TestConstructCommand:
                    "--n", "2", "--rate", "0.3", "--out", str(out)) == 2
         assert not out.exists()
 
+    # nan was refused by round(), inf escaped it as an OverflowError (exit 1)
+    @pytest.mark.parametrize("rate", ["inf", "-inf", "nan"])
+    def test_non_finite_rate_rejected(self, tmp_path, capsys, rate):
+        out = tmp_path / "code.txt"
+        assert run("construct", "--channel", "bsc:0.11", "--quantizer", "q:sign",
+                   "--n", "3", "--rate=" + rate, "--out", str(out)) == 2
+        assert not out.exists()
+        assert "polarq: error" in capsys.readouterr().err
+
     def test_negative_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "code.txt"
         assert run("construct", "--channel", "bsc:0.11", "--quantizer", "q:sign",
@@ -276,6 +285,17 @@ class TestSimulateCommand:
         assert run("simulate", "--code", str(code), "--channel", "bec:0.5",
                    "--decoder", "erasure", "--trials", "10", "--seed", "0",
                    "--threads", threads, "--out", str(out)) == 2
+        assert not out.exists()
+
+    # delta = 1e-10 wrapped the level indices in int32: every block decoded wrong
+    @pytest.mark.parametrize("quantizer", ["q:delta=1e-10,M=1", "q:delta=1,M=1e20"])
+    def test_alphabet_past_int32_indices_rejected(self, tmp_path, capsys, quantizer):
+        code = self._construct(tmp_path)
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--code", str(code), "--channel", "bec:0.5",
+                   "--decoder", "quantized", "--quantizer", quantizer,
+                   "--trials", "10", "--seed", "0", "--out", str(out)) == 2
+        assert "2^30" in capsys.readouterr().err
         assert not out.exists()
 
     def test_quantized_requires_quantizer(self, tmp_path):

@@ -423,12 +423,14 @@ class TestSynthesize:
         with pytest.raises(TypeError):
             synthesize(d0, 1, spec, op_budget=1.0)
 
-    def test_csv_rows(self):
-        fam = synthesize_triples(BEC(0.5).triple(), 1)
-        rows = list(fam.csv_rows())
-        assert rows[0] == "index,p_err,p,e,m"
-        assert rows[1].startswith("0,0.375,")
-        assert rows[2].startswith("1,0.125,")
+    def test_block_exponent_and_law_kind_follow_the_rows(self):
+        spec = QuantizerSpec(delta=1.0, m_sat=2.0)
+        d0 = quantize_density(BSC(0.11).llr_density(), spec)
+        for n in (0, 3):
+            for fam in (synthesize_triples(BSC(0.11).triple(), n), synthesize(d0, n, spec)):
+                assert (fam.n, fam.block_length) == (n, 1 << n)
+            assert isinstance(synthesize_triples(BSC(0.11).triple(), n).density(0), TripleDensity)
+            assert isinstance(synthesize(d0, n, spec).density(0), LlrDensity)
 
 
 class TestBitErrorProb:

@@ -40,6 +40,16 @@ class TestLevels:
         with pytest.raises(InvalidQuantizerError):
             QuantizerSpec(delta=2.0, m_sat=0.0)
 
+    # the decoder sums level indices up to 2 M/delta in int32
+    @pytest.mark.parametrize("delta, m_sat", [(1e-10, 1.0), (1.0, 1e20), (1.0, 2.0**30),
+                                              (1e-320, 1.0)])
+    def test_alphabet_past_int32_indices_refused(self, delta, m_sat):
+        with pytest.raises(InvalidQuantizerError, match="2\\^30"):
+            QuantizerSpec(delta=delta, m_sat=m_sat)
+
+    def test_largest_alphabet_accepted(self):
+        assert QuantizerSpec(delta=1.0, m_sat=2.0**30 - 1).half_levels == 2**30 - 1
+
 
 class TestQuantize:
     spec = QuantizerSpec(delta=1.0, m_sat=2.0)
